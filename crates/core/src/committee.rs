@@ -51,8 +51,8 @@ impl PromConfig {
                 self.confidence_threshold
             ));
         }
-        if self.gaussian_c <= 0.0 {
-            return Err(format!("gaussian_c must be positive, got {}", self.gaussian_c));
+        if !(self.gaussian_c > 0.0 && self.gaussian_c.is_finite()) {
+            return Err(format!("gaussian_c must be positive and finite, got {}", self.gaussian_c));
         }
         if !(0.0 < self.selection_fraction && self.selection_fraction <= 1.0) {
             return Err(format!(
@@ -60,8 +60,8 @@ impl PromConfig {
                 self.selection_fraction
             ));
         }
-        if self.tau <= 0.0 {
-            return Err(format!("tau must be positive, got {}", self.tau));
+        if !(self.tau > 0.0 && self.tau.is_finite()) {
+            return Err(format!("tau must be positive and finite, got {}", self.tau));
         }
         Ok(())
     }
@@ -239,6 +239,16 @@ mod tests {
         cfg.tau = 1.0;
         cfg.selection_fraction = 0.0;
         assert!(cfg.validate().is_err());
+        cfg.selection_fraction = 0.5;
+        assert!(cfg.validate().is_ok());
+        // NaN fails every `<=` test, and an infinite τ turns the
+        // "NaN distance ⇒ weight 0" rule into exp(-inf/inf) = NaN.
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let tau = PromConfig { tau: bad, ..cfg.clone() };
+            assert!(tau.validate().is_err(), "tau = {bad} accepted");
+            let c = PromConfig { gaussian_c: bad, ..cfg.clone() };
+            assert!(c.validate().is_err(), "gaussian_c = {bad} accepted");
+        }
     }
 
     #[test]

@@ -20,6 +20,112 @@ pub trait Nonconformity: Send + Sync {
     ///
     /// Implementations may panic if `label >= probs.len()`.
     fn score(&self, probs: &[f64], label: usize) -> f64;
+
+    /// The scores of every label at once: `out[y] = self.score(probs, y)`
+    /// for `y` in `0..probs.len()`, **bit for bit**. `out` is cleared
+    /// first.
+    ///
+    /// The default calls [`Nonconformity::score`] per label and ignores the
+    /// table. Rank- and mass-based functions override it to read the
+    /// table, which one sample's experts share so its O(L²) pass runs at
+    /// most once per sample (see [`RankMassTable`]).
+    fn scores_into(&self, probs: &[f64], _table: &mut RankMassTable, out: &mut Vec<f64>) {
+        out.clear();
+        out.extend((0..probs.len()).map(|y| self.score(probs, y)));
+    }
+}
+
+/// Per-label rank counts and cumulative masses of one probability vector,
+/// the quantities behind [`TopK`], [`Aps`] and [`Raps`], built for all L
+/// labels in one O(L²) pass instead of one O(L) scan per label and expert.
+///
+/// For label `y` with `p = probs[y]`, the table holds:
+/// - the count of labels `i` that rank ahead of `y`: `q_i > p`, or
+///   `q_i == p` and `i < y`;
+/// - the mass: `q_i` summed over those labels and `y` itself, in index
+///   order, from the same start as `Iterator::sum`.
+///
+/// Both are bit-identical to the per-label definitions in
+/// [`TopK::score`] and [`Aps::score`]: each label keeps its own
+/// accumulator, and label `i` is added to it in index order, or `-0.0`
+/// when it is excluded: `-0.0` is the one addend that leaves every sum
+/// unchanged, a `-0.0` sum included.
+/// Splitting the scan at `i == y` turns the tie rule into a plain `q >= p`
+/// before the label and `q > p` after it, so the inner loops carry no
+/// index test and vectorise across labels.
+///
+/// The table remembers the bits of the vector it was built from and
+/// rebuilds only when asked about a different one, so any number of
+/// experts can read it for one sample; its buffers are reused across
+/// samples.
+#[derive(Debug, Clone, Default)]
+pub struct RankMassTable {
+    /// Bit patterns of the probability vector the table describes.
+    key: Vec<u64>,
+    outranked: Vec<f64>,
+    mass: Vec<f64>,
+}
+
+impl RankMassTable {
+    /// An empty table (buffers grow on first use).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The table of `probs`, built unless it already describes exactly
+    /// these bits.
+    pub(crate) fn of(&mut self, probs: &[f64]) -> &Self {
+        let same = self.key.len() == probs.len()
+            && self.key.iter().zip(probs).all(|(&k, p)| k == p.to_bits());
+        if !same {
+            self.build(probs);
+        }
+        self
+    }
+
+    /// Per label, how many labels rank ahead of it (as an exact `f64`).
+    pub(crate) fn outranked(&self) -> &[f64] {
+        &self.outranked
+    }
+
+    /// Per label, the inclusive cumulative mass of its rank prefix.
+    pub(crate) fn mass(&self) -> &[f64] {
+        &self.mass
+    }
+
+    fn build(&mut self, probs: &[f64]) {
+        let n = probs.len();
+        self.key.clear();
+        self.key.extend(probs.iter().map(|p| p.to_bits()));
+        let start: f64 = std::iter::empty::<f64>().sum();
+        self.outranked.clear();
+        self.outranked.resize(n, 0.0);
+        self.mass.clear();
+        self.mass.resize(n, start);
+        for (i, &q) in probs.iter().enumerate() {
+            // Labels y < i: label i ranks ahead of y only if strictly larger.
+            let before = self.outranked[..i].iter_mut().zip(&mut self.mass[..i]).zip(&probs[..i]);
+            for ((count, mass), &p) in before {
+                let ahead = q > p;
+                *count += if ahead { 1.0 } else { 0.0 };
+                *mass += if ahead { q } else { -0.0 };
+            }
+            // y == i: a label's own mass counts unless it is NaN.
+            if !q.is_nan() {
+                self.mass[i] += q;
+            }
+            // Labels y > i: a tie also ranks label i ahead of y.
+            let after = self.outranked[i + 1..]
+                .iter_mut()
+                .zip(&mut self.mass[i + 1..])
+                .zip(&probs[i + 1..]);
+            for ((count, mass), &p) in after {
+                let ahead = q >= p;
+                *count += if ahead { 1.0 } else { 0.0 };
+                *mass += if ahead { q } else { -0.0 };
+            }
+        }
+    }
 }
 
 /// LAC (Least Ambiguous set-valued Classifier, Sadinle et al.):
@@ -57,6 +163,11 @@ impl Nonconformity for TopK {
             1 + probs.iter().enumerate().filter(|&(i, &q)| q > p || (q == p && i < label)).count();
         rank as f64
     }
+
+    fn scores_into(&self, probs: &[f64], table: &mut RankMassTable, out: &mut Vec<f64>) {
+        out.clear();
+        out.extend(table.of(probs).outranked().iter().map(|&c| 1.0 + c));
+    }
 }
 
 /// APS (Adaptive Prediction Sets, Romano et al.): cumulative probability
@@ -78,6 +189,11 @@ impl Nonconformity for Aps {
             .filter(|&(i, &q)| q > p || (q == p && i <= label))
             .map(|(_, &q)| q)
             .sum()
+    }
+
+    fn scores_into(&self, probs: &[f64], table: &mut RankMassTable, out: &mut Vec<f64>) {
+        out.clear();
+        out.extend_from_slice(table.of(probs).mass());
     }
 }
 
@@ -105,6 +221,25 @@ impl Nonconformity for Raps {
     fn score(&self, probs: &[f64], label: usize) -> f64 {
         let aps = Aps.score(probs, label);
         let rank = TopK.score(probs, label);
+        self.regularize(aps, rank)
+    }
+
+    fn scores_into(&self, probs: &[f64], table: &mut RankMassTable, out: &mut Vec<f64>) {
+        let table = table.of(probs);
+        out.clear();
+        out.extend(
+            table
+                .mass()
+                .iter()
+                .zip(table.outranked())
+                .map(|(&aps, &c)| self.regularize(aps, 1.0 + c)),
+        );
+    }
+}
+
+impl Raps {
+    /// The RAPS score from a label's APS score and 1-based rank.
+    fn regularize(&self, aps: f64, rank: f64) -> f64 {
         aps + self.lambda * (rank - self.k_reg as f64).max(0.0)
     }
 }
@@ -184,6 +319,18 @@ mod tests {
             assert!((rebuilt.score(&PROBS, 1) - f.score(&PROBS, 1)).abs() < 1e-12);
         }
         assert!(by_name("nope").is_none());
+    }
+
+    #[test]
+    fn rank_mass_table_follows_the_vector_it_is_asked_about() {
+        let mut table = RankMassTable::new();
+        assert_eq!(table.of(&[0.2, 0.8]).outranked(), &[1.0, 0.0]);
+        assert_eq!(table.of(&[0.8, 0.2]).outranked(), &[0.0, 1.0]);
+        // -0.0 and 0.0 compare equal but differ in bits: the sum start is
+        // -0.0, so only the bit-exact key keeps the table in step.
+        assert!(table.of(&[-0.0]).mass()[0].is_sign_negative());
+        assert!(table.of(&[0.0]).mass()[0].is_sign_positive());
+        assert!(table.of(&[]).mass().is_empty());
     }
 
     #[test]

@@ -250,14 +250,21 @@ impl PromClassifier {
             .iter()
             .enumerate()
             .map(|(e, expert)| {
-                scratch.test_scores.clear();
-                scratch.test_scores.extend((0..self.n_classes).map(|y| expert.score(probs, y)));
-                self.kernel.p_values_into(e, scratch);
+                self.expert_p_values_into(e, probs, scratch);
                 verdict_from_p_values(expert.name(), &scratch.p_values, predicted, config)
             })
             .collect();
         let (accepted, reject_votes) = committee_accepts(&verdicts);
         PromJudgement { accepted, reject_votes, verdicts }
+    }
+
+    /// Eq. 2 p-values of expert `e` for `probs` over the selection already
+    /// in `scratch`, into `scratch.p_values`. Consecutive experts on the
+    /// same `probs` share the scratch's rank/mass table, so its O(L²) pass
+    /// runs once per sample, not once per expert and label.
+    fn expert_p_values_into(&self, e: usize, probs: &[f64], scratch: &mut JudgeScratch) {
+        scratch.fill_test_scores(self.experts[e].as_ref(), probs);
+        self.kernel.p_values_into(e, scratch);
     }
 
     /// Judges a window once and re-thresholds it under every configuration:
@@ -315,9 +322,7 @@ impl PromClassifier {
         let mut verdicts: Vec<Vec<ExpertVerdict>> =
             (0..configs.len()).map(|_| Vec::with_capacity(self.experts.len())).collect();
         for (e, expert) in self.experts.iter().enumerate() {
-            scratch.test_scores.clear();
-            scratch.test_scores.extend((0..self.n_classes).map(|y| expert.score(&s.outputs, y)));
-            self.kernel.p_values_into(e, scratch);
+            self.expert_p_values_into(e, &s.outputs, scratch);
             for (config, per_config) in configs.iter().zip(verdicts.iter_mut()) {
                 per_config.push(verdict_from_p_values(
                     expert.name(),
@@ -347,13 +352,9 @@ impl PromClassifier {
         assert_eq!(probs.len(), self.n_classes, "class-count mismatch");
         let mut scratch = JudgeScratch::new();
         self.kernel.select(embedding, &mut scratch);
-        self.experts
-            .iter()
-            .enumerate()
-            .map(|(e, expert)| {
-                scratch.test_scores.clear();
-                scratch.test_scores.extend((0..self.n_classes).map(|y| expert.score(probs, y)));
-                self.kernel.p_values_into(e, &mut scratch);
+        (0..self.experts.len())
+            .map(|e| {
+                self.expert_p_values_into(e, probs, &mut scratch);
                 scratch.p_values.clone()
             })
             .collect()
@@ -385,11 +386,10 @@ impl PromClassifier {
     /// The prediction set (labels with p-value above ε) of the *first*
     /// expert — the set used for coverage assessment (Eq. 3).
     pub fn prediction_set(&self, embedding: &[f64], probs: &[f64]) -> Vec<usize> {
+        assert_eq!(probs.len(), self.n_classes, "class-count mismatch");
         let mut scratch = JudgeScratch::new();
         self.kernel.select(embedding, &mut scratch);
-        let expert = &self.experts[0];
-        scratch.test_scores.extend((0..self.n_classes).map(|y| expert.score(probs, y)));
-        self.kernel.p_values_into(0, &mut scratch);
+        self.expert_p_values_into(0, probs, &mut scratch);
         scratch
             .p_values
             .iter()

@@ -21,7 +21,7 @@
 //! looped judgements are bit-identical by construction.
 
 use crate::calibration::{CalibrationRecord, SelectionConfig};
-use crate::nonconformity::Nonconformity;
+use crate::nonconformity::{Nonconformity, RankMassTable};
 use prom_ml::matrix::{l2_distance_sq, l2_distance_sq_bounded, l2_distances_sq_block, l2_norm_sq};
 
 /// Per-label calibration nonconformity scores, sorted ascending at
@@ -265,6 +265,9 @@ pub struct JudgeScratch {
     /// Per-label test nonconformity scores; filled by the caller before
     /// [`ScoringKernel::p_values_into`].
     pub test_scores: Vec<f64>,
+    /// Rank/mass table of the last probability vector scored by
+    /// [`JudgeScratch::fill_test_scores`], shared by its experts.
+    ranks: RankMassTable,
     /// Per-label p-values; output of [`ScoringKernel::p_values_into`].
     pub p_values: Vec<f64>,
     /// k-NN record indices; output of [`ScoringKernel::nearest`]. Carried
@@ -277,6 +280,13 @@ impl JudgeScratch {
     /// An empty scratch (buffers grow on first use).
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Fills `test_scores` with `expert`'s score of every label of `probs`
+    /// ([`Nonconformity::scores_into`]). Experts scoring the same `probs`
+    /// one after another share one rank/mass table, built once.
+    pub(crate) fn fill_test_scores(&mut self, expert: &dyn Nonconformity, probs: &[f64]) {
+        expert.scores_into(probs, &mut self.ranks, &mut self.test_scores);
     }
 }
 

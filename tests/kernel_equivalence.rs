@@ -25,6 +25,11 @@
 //! * **the fused fan-out changes nothing**: `MultiPipeline::fanout` over N
 //!   threshold configurations reports bit-identically to N standalone
 //!   `PromClassifier`s judging the same stream;
+//! * **many-class test scores are exact**: on 35-label records shaped like
+//!   case study C2, with tie-heavy and zero-heavy probability vectors,
+//!   `judge`, `judge_batch`, the fused fan-out and `expert_p_values` (all
+//!   fed by the shared rank/mass test-score pass) equal the per-label
+//!   reference;
 //! * **(proptest)** duplicate-heavy integer-grid embeddings — maximal tie
 //!   mass at the keep boundary — and NaN probes never separate the
 //!   optimized paths from the reference.
@@ -41,6 +46,7 @@ use prom::core::pipeline::{MultiPipeline, PipelineConfig};
 use prom::core::predictor::PromClassifier;
 use prom::core::pvalue::{p_values, ScoredSample};
 use prom::core::regression::{ClusterChoice, PromRegressor, PromRegressorConfig, RegressionRecord};
+use prom::core::scoring::JudgeScratch;
 use prom::ml::knn::{k_nearest, k_nearest_flat};
 use prom::ml::matrix::{argmax, l2_distance_sq};
 
@@ -387,6 +393,96 @@ fn fused_fanout_reports_match_standalone_classifiers() {
                 assert_eq!(fr.flagged, ir.flagged, "double_buffer={double_buffer}");
                 assert_eq!(fr.relabel, ir.relabel, "double_buffer={double_buffer}");
             }
+        }
+    }
+}
+
+/// Labels of the many-class case: C2's 35 vectorization classes.
+const MANY: usize = 35;
+
+/// A probability vector over [`MANY`] labels from integer weights, so
+/// equal weights give exactly equal probabilities (division by the same
+/// total keeps ties) and zero weights give exact zeros.
+fn normalized(weights: &[u32]) -> Vec<f64> {
+    let total: u32 = weights.iter().sum();
+    weights.iter().map(|&w| f64::from(w) / f64::from(total)).collect()
+}
+
+/// Tie-heavy and zero-heavy probability vectors: weights from {0, 1, 2}
+/// (every value shared by about a dozen labels), one or two non-zero
+/// labels among 35, a flat vector, and a two-way tie at the top.
+fn many_class_probs(seed: usize) -> Vec<Vec<f64>> {
+    let tied: Vec<u32> = (0..MANY).map(|y| ((y * 7 + seed) % 3) as u32).collect();
+    let mut sparse = vec![0; MANY];
+    sparse[seed % MANY] = 3;
+    sparse[(seed * 11 + 5) % MANY] = 1;
+    let mut spike = vec![0; MANY];
+    spike[(seed * 3) % MANY] = 1;
+    let mut top_tie = vec![1; MANY];
+    top_tie[seed % MANY] = 9;
+    top_tie[(seed + 17) % MANY] = 9;
+    [tied, sparse, spike, vec![1; MANY], top_tie].iter().map(|w| normalized(w)).collect()
+}
+
+/// Calibration records shaped like C2: 35 labels, a few records each,
+/// clustered embeddings with exact duplicates, and tie-heavy or
+/// zero-heavy model outputs (sometimes confidently wrong).
+fn many_class_records(per_label: usize, dim: usize) -> Vec<CalibrationRecord> {
+    let mut out: Vec<CalibrationRecord> = Vec::with_capacity(per_label * MANY);
+    for i in 0..per_label * MANY {
+        let label = i % MANY;
+        let embedding: Vec<f64> = if i % 5 == 4 {
+            out[i - 1].embedding.clone()
+        } else {
+            (0..dim).map(|d| label as f64 * 0.5 + ((i * 31 + d * 7) as f64 * 0.37).sin()).collect()
+        };
+        let cases = many_class_probs(i);
+        let mut weights: Vec<u32> =
+            cases[i % cases.len()].iter().map(|&p| (p * 1000.0).round() as u32).collect();
+        weights[if i % 7 == 3 { (label + 1) % MANY } else { label }] += 500;
+        out.push(CalibrationRecord::new(embedding, normalized(&weights), label));
+    }
+    out
+}
+
+#[test]
+fn many_class_judgements_match_the_per_label_reference() {
+    let dim = 9;
+    let records = many_class_records(8, dim);
+    for (path, config) in path_configs() {
+        let prom = PromClassifier::new(records.clone(), config.clone()).unwrap();
+        let fanned: Vec<PromConfig> = [0.02, 0.1, 0.3]
+            .iter()
+            .map(|&epsilon| PromConfig { epsilon, ..config.clone() })
+            .collect();
+        let mut samples = Vec::new();
+        let mut references = Vec::new();
+        for (p, probe) in probes(&records, dim).into_iter().enumerate() {
+            for probs in many_class_probs(p) {
+                let reference = reference_p_values(&records, &config, &probe, &probs);
+                let context = format!("path={path} probe {p} probs {probs:?}");
+                assert_p_value_bits_eq(&prom.expert_p_values(&probe, &probs), &reference, &context);
+                assert_eq!(
+                    prom.judge(&probe, &probs),
+                    prom.judgement_from_p_values(&reference, argmax(&probs), &config),
+                    "{context}: judge diverges from the reference"
+                );
+                samples.push(Sample::new(probe.clone(), probs));
+                references.push(reference);
+            }
+        }
+        let expected = |config: &PromConfig| -> Vec<_> {
+            samples
+                .iter()
+                .zip(&references)
+                .map(|(s, r)| prom.judgement_from_p_values(r, argmax(&s.outputs), config))
+                .collect()
+        };
+        assert_eq!(prom.judge_batch(&samples), expected(&config), "path={path}: judge_batch");
+        let mut scratch = JudgeScratch::new();
+        let fanout = prom.judge_batch_fanout_scratch(&samples, &fanned, &mut scratch);
+        for (c, judged) in fanned.iter().zip(&fanout) {
+            assert_eq!(judged, &expected(c), "path={path} epsilon={}: fan-out", c.epsilon);
         }
     }
 }

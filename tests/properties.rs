@@ -671,3 +671,201 @@ mod drift_annotations {
         }
     }
 }
+
+// --- Batched test scores --------------------------------------------------
+//
+// The judge path scores every label of a sample at once
+// (`Nonconformity::scores_into`), with Top-K, APS and RAPS reading one
+// shared rank/mass table. Judgements stay bit-identical only if every
+// batched score equals the per-label `score` bit for bit, on any vector:
+// NaN, signed zeros, subnormals, infinities, exact duplicates and flat
+// vectors included.
+
+mod batched_test_scores {
+    use super::*;
+    use prom::core::calibration::CalibrationRecord;
+    use prom::core::committee::PromConfig;
+    use prom::core::nonconformity::{Aps, Nonconformity, RankMassTable, Raps};
+    use prom::core::predictor::PromClassifier;
+    use prom::core::pvalue::p_values;
+
+    /// One entry of an arbitrary "probability" vector, biased towards the
+    /// values where a comparison or a sum could go wrong.
+    fn entry() -> impl Strategy<Value = f64> {
+        (0usize..12, 0.0f64..1.0).prop_map(|(kind, u)| match kind {
+            0 => f64::NAN,
+            1 => 0.0,
+            2 => -0.0,
+            // Multiples of the smallest subnormal, then the whole range.
+            3 => 5e-324 * (1.0 + (u * 8.0).floor()),
+            4 => f64::MIN_POSITIVE * u,
+            // A three-value palette, so exact duplicates are common.
+            5 | 6 => [0.1, 0.25, 0.5][(u * 3.0) as usize],
+            7 => {
+                if u < 0.5 {
+                    f64::INFINITY
+                } else {
+                    f64::NEG_INFINITY
+                }
+            }
+            8 => -u,
+            _ => u,
+        })
+    }
+
+    /// Vectors of 1..=64 labels, a fifth of them flat (all entries equal).
+    fn arbitrary_probs() -> impl Strategy<Value = Vec<f64>> {
+        prop_oneof![
+            proptest::collection::vec(entry(), 1..=64),
+            proptest::collection::vec(entry(), 1..=64),
+            proptest::collection::vec(entry(), 1..=64),
+            proptest::collection::vec(entry(), 1..=64),
+            (1usize..=64, entry()).prop_map(|(n, v)| vec![v; n]),
+        ]
+    }
+
+    fn experts() -> Vec<Box<dyn Nonconformity>> {
+        let mut experts = default_committee();
+        experts.push(Box::new(Raps { lambda: 0.3, k_reg: 3 }));
+        experts
+    }
+
+    /// Batched scores of `probs` through `table` against per-label `score`.
+    fn check_batched(
+        experts: &[Box<dyn Nonconformity>],
+        probs: &[f64],
+        table: &mut RankMassTable,
+    ) -> Result<(), TestCaseError> {
+        let mut out = Vec::new();
+        for f in experts {
+            f.scores_into(probs, table, &mut out);
+            let got: Vec<u64> = out.iter().map(|s| s.to_bits()).collect();
+            let want: Vec<u64> = (0..probs.len()).map(|y| f.score(probs, y).to_bits()).collect();
+            prop_assert_eq!(got, want, "{} on {:?}", f.name(), probs);
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn batched_scores_are_exact_for_every_length_up_to_64() {
+        let experts = experts();
+        let mut table = RankMassTable::new();
+        for n in 1..=64usize {
+            let probs: Vec<f64> = (0..n)
+                .map(|i| match i % 9 {
+                    0 => 0.25,
+                    1 => f64::NAN,
+                    2 => -0.0,
+                    3 => 0.0,
+                    4 => 5e-324,
+                    5 => 0.25,
+                    _ => (i % 4) as f64 / 8.0,
+                })
+                .collect();
+            check_batched(&experts, &probs, &mut table).unwrap();
+            check_batched(&experts, &vec![1.0 / n as f64; n], &mut table).unwrap();
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every expert's batched scores equal its per-label scores bit for
+        /// bit, with one table reused across experts and across vectors
+        /// (back and forth), as one judging scratch reuses it.
+        #[test]
+        fn batched_scores_equal_per_label_scores_bitwise(
+            a in arbitrary_probs(),
+            b in arbitrary_probs(),
+        ) {
+            let experts = experts();
+            let mut shared = RankMassTable::new();
+            for probs in [&a, &b, &a] {
+                check_batched(&experts, probs, &mut shared)?;
+            }
+        }
+    }
+
+    /// A custom expert that only implements `score`: the provided
+    /// `scores_into` must keep it working unchanged.
+    struct Margin;
+
+    impl Nonconformity for Margin {
+        fn name(&self) -> &'static str {
+            "margin"
+        }
+
+        fn score(&self, probs: &[f64], label: usize) -> f64 {
+            probs.iter().copied().fold(f64::NEG_INFINITY, f64::max) - probs[label]
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// A committee mixing a custom expert (default `scores_into`) with
+        /// a table-reading one judges through `PromClassifier::with_experts`
+        /// exactly as the per-label reference: full-sort Eq. 1 selection,
+        /// per-label scores and the shared Eq. 2 arithmetic.
+        #[test]
+        fn custom_expert_without_override_judges_through_the_classifier(
+            cal in proptest::collection::vec((0.0f64..4.0, 0.0f64..4.0, 0.3f64..1.0), 4..40),
+            probe in (0.0f64..4.0, 0.0f64..4.0),
+            probs in probs_strategy(),
+        ) {
+            let n = probs.len();
+            let records: Vec<CalibrationRecord> = cal
+                .iter()
+                .enumerate()
+                .map(|(i, &(x, y, conf))| {
+                    let label = i % n;
+                    let mut p = vec![(1.0 - conf) / (n - 1) as f64; n];
+                    p[label] = conf;
+                    CalibrationRecord::new(vec![x, y], p, label)
+                })
+                .collect();
+            let config = PromConfig { tau: 2.0, min_full_size: 1, ..PromConfig::default() };
+            let committee: Vec<Box<dyn Nonconformity>> = vec![Box::new(Margin), Box::new(Aps)];
+            let prom =
+                PromClassifier::with_experts(records.clone(), committee, config.clone()).unwrap();
+
+            let probe = vec![probe.0, probe.1];
+            let rows: Vec<Vec<f64>> = records.iter().map(|r| r.embedding.clone()).collect();
+            let selection = select_weighted_subset(
+                &rows,
+                &probe,
+                &SelectionConfig {
+                    fraction: config.selection_fraction,
+                    min_full_size: config.min_full_size,
+                    tau: config.tau,
+                },
+            );
+            let reference: Vec<Vec<f64>> = [&Margin as &dyn Nonconformity, &Aps]
+                .iter()
+                .map(|expert| {
+                    let samples: Vec<ScoredSample> = selection
+                        .iter()
+                        .map(|s| {
+                            let r = &records[s.index];
+                            ScoredSample {
+                                label: r.label,
+                                adjusted_score: s.weight * expert.score(&r.probs, r.label),
+                            }
+                        })
+                        .collect();
+                    let test: Vec<f64> = (0..n).map(|y| expert.score(&probs, y)).collect();
+                    p_values(&samples, &test)
+                })
+                .collect();
+
+            let bits = |v: &[Vec<f64>]| -> Vec<Vec<u64>> {
+                v.iter().map(|ps| ps.iter().map(|p| p.to_bits()).collect()).collect()
+            };
+            prop_assert_eq!(bits(&prom.expert_p_values(&probe, &probs)), bits(&reference));
+            let expected = prom.judgement_from_p_values(&reference, argmax(&probs), &config);
+            prop_assert_eq!(prom.judge(&probe, &probs), expected.clone());
+            let sample = Sample::new(probe.clone(), probs.clone());
+            prop_assert_eq!(prom.judge_batch(&[sample.clone(), sample]), vec![expected.clone(), expected]);
+        }
+    }
+}
