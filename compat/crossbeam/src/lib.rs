@@ -1,14 +1,8 @@
 //! Offline stand-in for the slice of `crossbeam` this workspace uses:
-//! [`thread::scope`] with `scope.spawn(|_| ...)` closures, and the
-//! [`channel`] module's MPMC channels — `unbounded` (the transport of
+//! the [`channel`] module's MPMC channels — `unbounded` (the transport of
 //! `prom_core::pool::ShardPool`'s shared job queue) and `bounded` (the
-//! admission/backpressure primitive of `prom_core::serving`).
-//!
-//! Scoped threads are backed by [`std::thread::scope`] (stable since Rust
-//! 1.63, which post-dates crossbeam's scoped threads). One behavioural
-//! difference: a panicking child thread re-raises at the end of the scope
-//! instead of surfacing as `Err`, so the `Result` returned here is always
-//! `Ok` — fine for the workspace, which only ever `.expect()`s it.
+//! admission/backpressure primitive of `prom_core::serving`). Scoped
+//! threads come from [`std::thread::scope`] directly.
 //!
 //! Channels are a from-scratch `Mutex<VecDeque>` + two-`Condvar` queue —
 //! unlike the std `mpsc` the earlier revisions wrapped, both halves are
@@ -363,59 +357,9 @@ pub mod channel {
     }
 }
 
-/// Scoped threads (mirrors `crossbeam::thread`).
-pub mod thread {
-    use std::convert::Infallible;
-
-    /// Handle passed to the [`scope`] closure; spawns borrowing threads.
-    pub struct Scope<'scope, 'env: 'scope> {
-        inner: &'scope std::thread::Scope<'scope, 'env>,
-    }
-
-    impl<'scope, 'env> Scope<'scope, 'env> {
-        /// Spawns a thread that may borrow from outside the scope. The
-        /// closure receives the scope handle (unused by this workspace,
-        /// present for crossbeam API compatibility).
-        pub fn spawn<F, T>(&self, f: F) -> std::thread::ScopedJoinHandle<'scope, T>
-        where
-            F: for<'a> FnOnce(&'a Scope<'scope, 'env>) -> T + Send + 'scope,
-            T: Send + 'scope,
-        {
-            let inner = self.inner;
-            inner.spawn(move || f(&Scope { inner }))
-        }
-    }
-
-    /// Runs `f` with a scope handle; all spawned threads are joined before
-    /// this returns.
-    ///
-    /// # Errors
-    ///
-    /// Always `Ok` (see crate docs); the `Result` mirrors crossbeam's API.
-    pub fn scope<'env, F, R>(f: F) -> Result<R, Infallible>
-    where
-        F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-    {
-        Ok(std::thread::scope(|s| f(&Scope { inner: s })))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::channel::{bounded, unbounded, TryRecvError, TrySendError};
-
-    #[test]
-    fn scope_joins_borrowing_threads() {
-        let data = [1, 2, 3];
-        let sums = std::sync::Mutex::new(Vec::new());
-        super::thread::scope(|s| {
-            for _ in 0..3 {
-                s.spawn(|_| sums.lock().unwrap().push(data.iter().sum::<i32>()));
-            }
-        })
-        .expect("scope");
-        assert_eq!(sums.into_inner().unwrap(), vec![6, 6, 6]);
-    }
 
     #[test]
     fn unbounded_channel_delivers_in_order_across_threads() {
@@ -491,21 +435,6 @@ mod tests {
         drop(rx);
         let err = tx.send_with(|| 42).unwrap_err();
         assert_eq!(err.0, 42);
-    }
-
-    #[test]
-    fn nested_spawn_through_handle() {
-        let hit = std::sync::atomic::AtomicUsize::new(0);
-        super::thread::scope(|s| {
-            s.spawn(|inner| {
-                hit.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                inner.spawn(|_| {
-                    hit.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                });
-            });
-        })
-        .expect("scope");
-        assert_eq!(hit.into_inner(), 2);
     }
 
     #[test]

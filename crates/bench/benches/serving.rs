@@ -62,17 +62,10 @@ fn stream(n: usize) -> Vec<Sample> {
         .collect()
 }
 
-/// The pipeline every variant runs behind: full shard fan-out,
-/// double-buffered, two windows in flight (frozen policy, so overlap is
-/// legal).
+/// The pipeline every variant runs behind: full shard fan-out, frozen
+/// policy.
 fn pipeline_config() -> PipelineConfig {
-    PipelineConfig {
-        window: WINDOW,
-        shards: available_shards(),
-        double_buffer: true,
-        in_flight_windows: 2,
-        ..Default::default()
-    }
+    PipelineConfig { window: WINDOW, shards: available_shards(), ..Default::default() }
 }
 
 /// Races the stream through the handle in `PRODUCERS` contiguous chunks.

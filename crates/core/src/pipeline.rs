@@ -21,18 +21,17 @@
 //!   ranked under a [`SelectionPolicy`] (reject-vote fraction, or lowest
 //!   credibility through the rich per-expert path), the [`RelabelBudget`]
 //!   picks the slice worth ground-truth labels, and an optional window
-//!   hook hands the report plus the window's samples to the caller. With
-//!   [`PipelineConfig::double_buffer`] set, ingest overlaps judging: while
-//!   the workers judge window N, `push` keeps filling window N+1, and
-//!   reports drain strictly in window order with byte-identical contents —
-//!   one window late (the push completing window N+1 returns window N's
-//!   report; `flush` drains the tail).
+//!   hook hands the report plus the window's samples to the caller. The
+//!   push that completes a window returns that window's report: the
+//!   paper's Sec. 5.4 loop judges, relabels and folds one window before
+//!   the next is judged, so judging runs to completion inside the call.
 //! * [`MultiPipeline`] — the multi-detector form: one `push`/`flush`
-//!   stream fanned out to N registered detectors on one shared pool, each
-//!   window ingested once, every detector reporting exactly what its own
-//!   single-detector pipeline would have (optionally under one shared
-//!   relabeling budget, [`BudgetSharing::Shared`], for honest same-stream
-//!   detector comparison).
+//!   stream fanned out to N registered detectors, each window ingested
+//!   once and judged for every detector in one pool dispatch, every
+//!   detector reporting exactly what its own single-detector pipeline
+//!   would have (optionally under one shared relabeling budget,
+//!   [`BudgetSharing::Shared`], for honest same-stream detector
+//!   comparison).
 //! * **In-pipeline online recalibration** — a pipeline built with
 //!   [`DeploymentPipeline::online`] closes the paper's Sec. 5.4 loop
 //!   *inside* the pipeline: each window's budget-selected relabels are
@@ -43,6 +42,10 @@
 //!   caller-driven PR 2 behavior). Folding uses the detectors' incremental
 //!   `absorb_relabeled` / `replace_record` overrides, so no window pays a
 //!   full recalibration rebuild (see `benches/recalibration.rs`).
+//!
+//! Both pipeline types are thin shells over one private window engine,
+//! which owns the pool, the per-detector state, the ingest buffer and the
+//! label oracle.
 
 use std::sync::Arc;
 
@@ -51,7 +54,7 @@ use crate::committee::{PromConfig, PromJudgement};
 use crate::detector::{DriftDetector, Judgement, Relabeled, Sample, Truth};
 use crate::incremental::{select_flagged, select_for_relabeling, RelabelBudget};
 use crate::metrics::{Counter, Gauge, MetricsSink};
-use crate::pool::{PendingResults, ShardPool};
+use crate::pool::ShardPool;
 use crate::predictor::{PromClassifier, PromThresholdView};
 use crate::scoring::JudgeScratch;
 use crate::PromError;
@@ -65,20 +68,6 @@ const RICH_IS_GLOBAL: &str = "rich-judgement support is a detector-global proper
 /// it cannot be queried).
 pub fn available_shards() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// Validates [`PipelineConfig::in_flight_windows`] at pipeline build time:
-/// at least 1, and above 1 only under [`CalibrationPolicy::Frozen`] — a
-/// deeper queue submits window N+1 before window N is collected, which
-/// must never race with (or hide results from) online calibration folding.
-fn assert_in_flight_depth(config: &PipelineConfig) {
-    assert!(config.in_flight_windows >= 1, "in_flight_windows must be at least 1");
-    assert!(
-        config.in_flight_windows == 1 || config.policy == CalibrationPolicy::Frozen,
-        "in_flight_windows > 1 requires CalibrationPolicy::Frozen: an online policy \
-         mutates the detector when a window is collected, and overlapped later \
-         windows would race with (and judge blind to) that mutation"
-    );
 }
 
 /// Splits `samples` into at most `n_shards` contiguous chunks, maps each
@@ -110,21 +99,20 @@ where
         judge_window(samples)
     } else {
         let chunk = samples.len().div_ceil(shards);
-        let mut stitched = Vec::with_capacity(samples.len());
-        crossbeam::thread::scope(|scope| {
-            let judge_window = &judge_window;
+        let judge_window = &judge_window;
+        std::thread::scope(|scope| {
             let handles: Vec<_> = samples
                 .chunks(chunk)
-                .map(|shard| scope.spawn(move |_| judge_window(shard)))
+                .map(|shard| scope.spawn(move || judge_window(shard)))
                 .collect();
             // Joining in spawn order stitches shard results back in input
             // order.
+            let mut stitched = Vec::with_capacity(samples.len());
             for handle in handles {
                 stitched.extend(handle.join().expect("shard thread panicked"));
             }
+            stitched
         })
-        .expect("shard scope panicked");
-        stitched
     };
     assert_eq!(out.len(), samples.len(), "judge_window must return one result per sample");
     out
@@ -248,8 +236,7 @@ pub struct PipelineConfig {
     /// unit. Must be at least 1.
     pub window: usize,
     /// Persistent shard workers judging each window (0 and 1 both mean
-    /// sequential judging on the caller thread, unless
-    /// [`PipelineConfig::double_buffer`] asks for a worker anyway).
+    /// sequential judging on the caller thread, with no worker threads).
     pub shards: usize,
     /// Relabeling budget applied to each window's rejects.
     pub budget: RelabelBudget,
@@ -264,28 +251,6 @@ pub struct PipelineConfig {
     /// absorbed (ignored under [`CalibrationPolicy::Frozen`], which never
     /// absorbs).
     pub eviction: BaseEviction,
-    /// Overlap judging with ingest: when a window fills, hand it to the
-    /// shard workers and return to the caller immediately, so pushes keep
-    /// filling window N+1 while the pool judges window N. Reports then
-    /// arrive one window *late* — the `push` that fills window N+1 returns
-    /// window N's report, and [`DeploymentPipeline::flush`] must be called
-    /// until it returns `None` to drain the tail — but their contents
-    /// (judgements, selection, absorption, calibration sizes) are
-    /// byte-identical to the non-overlapped pipeline
-    /// (`tests/pipeline_equivalence.rs`).
-    pub double_buffer: bool,
-    /// Maximum windows judging on the pool at once in double-buffered
-    /// mode (ignored without [`PipelineConfig::double_buffer`]). The
-    /// default, 1, is classic double-buffering: ingest N+1 overlaps
-    /// judging N. A deeper queue keeps up to this many windows in flight
-    /// simultaneously, so the pool's shared job queue can interleave
-    /// window N+1's shard jobs into window N's straggler idle time —
-    /// reports then arrive up to this many windows late, still strictly
-    /// in window order and byte-identical. Must be at least 1; depths
-    /// above 1 require [`CalibrationPolicy::Frozen`], because overlapped
-    /// judging of window N+1 must never race with (or observe) the
-    /// calibration folding that collecting window N performs.
-    pub in_flight_windows: usize,
 }
 
 impl Default for PipelineConfig {
@@ -297,8 +262,6 @@ impl Default for PipelineConfig {
             selection: SelectionPolicy::RejectVote,
             policy: CalibrationPolicy::Frozen,
             eviction: BaseEviction::Keep,
-            double_buffer: false,
-            in_flight_windows: 1,
         }
     }
 }
@@ -402,6 +365,33 @@ enum Judged {
 }
 
 impl Judged {
+    /// One detector's share of a fused fan-out chunk: the rich form for a
+    /// credibility-ranking detector, flattened exactly like
+    /// [`DriftDetector::judge_batch`] flattens otherwise.
+    fn from_fanout(column: Vec<PromJudgement>, rich: bool) -> Self {
+        if rich {
+            Judged::Rich(column)
+        } else {
+            Judged::Flat(column.into_iter().map(Judgement::from).collect())
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Judged::Flat(js) => js.len(),
+            Judged::Rich(js) => js.len(),
+        }
+    }
+
+    /// Appends the next chunk's judgements (same detector, same form).
+    fn append(&mut self, next: Judged) {
+        match (self, next) {
+            (Judged::Flat(js), Judged::Flat(more)) => js.extend(more),
+            (Judged::Rich(js), Judged::Rich(more)) => js.extend(more),
+            _ => unreachable!("{RICH_IS_GLOBAL}"),
+        }
+    }
+
     /// Global indices of the window's rejected samples, ascending.
     fn flagged(&self, start: usize) -> Vec<usize> {
         fn collect<'j>(accepted: impl Iterator<Item = &'j bool>, start: usize) -> Vec<usize> {
@@ -438,26 +428,10 @@ impl Judged {
     }
 }
 
-/// One asynchronously judged window of one detector, in either form.
-enum PendingWindow {
-    Flat(PendingResults<Judgement>),
-    Rich(PendingResults<PromJudgement>),
-}
-
-impl PendingWindow {
-    /// Blocks for the stitched judgements (see [`PendingResults::collect`]).
-    fn collect(self) -> Judged {
-        match self {
-            PendingWindow::Flat(pending) => Judged::Flat(pending.collect()),
-            PendingWindow::Rich(pending) => Judged::Rich(pending.collect()),
-        }
-    }
-}
-
 /// Everything one detector carries through a pipeline's lifetime: its
 /// handle, its judging mode, its reservoir bookkeeping, and its stats.
-/// [`DeploymentPipeline`] owns one; [`MultiPipeline`] owns N and drives
-/// them over one shared sample stream.
+/// The window engine owns one per detector: one behind a
+/// [`DeploymentPipeline`], N behind a [`MultiPipeline`].
 struct DetectorState<'a> {
     detector: DetectorHandle<'a>,
     /// Judge windows through the rich per-expert path
@@ -561,61 +535,14 @@ impl<'a> DetectorState<'a> {
         self.instruments = Some(DetectorInstruments::resolve(sink, self.detector.get().name()));
     }
 
-    /// Judges a window to completion — on `pool` when one exists,
-    /// inline with `scratch` otherwise — in the form the selection
-    /// policy picked at construction.
-    fn judge_sync(
-        &self,
-        pool: Option<&ShardPool>,
-        scratch: &mut JudgeScratch,
-        samples: &[Sample],
-    ) -> Judged {
+    /// Judges one shard in the form the selection policy picked at
+    /// construction.
+    fn judge(&self, shard: &[Sample], scratch: &mut JudgeScratch) -> Judged {
         let detector = self.detector.get();
-        match (self.rich, pool) {
-            (false, Some(pool)) => Judged::Flat(pool.judge(detector, samples)),
-            (false, None) => Judged::Flat(detector.judge_batch(samples)),
-            (true, Some(pool)) => Judged::Rich(pool.map(samples, |shard, scratch| {
-                detector.judge_batch_rich_scratch(shard, scratch).expect(RICH_IS_GLOBAL)
-            })),
-            (true, None) => Judged::Rich(
-                detector.judge_batch_rich_scratch(samples, scratch).expect(RICH_IS_GLOBAL),
-            ),
-        }
-    }
-
-    /// Starts judging a window on the pool without waiting (the
-    /// double-buffered ingest path).
-    ///
-    /// # Safety
-    ///
-    /// Lifetime erasure only — see [`ShardPool::submit_with`]: the caller
-    /// must keep `samples`' heap buffer and this state's detector alive
-    /// (and the detector un-mutated) until the handle is collected or
-    /// dropped.
-    unsafe fn submit(&self, pool: &ShardPool, samples: &[Sample]) -> PendingWindow {
-        // SAFETY: erasing the detector borrow to 'static for the worker
-        // jobs; the caller contract above keeps it alive and un-mutated
-        // until the handle drains.
-        let detector: &'static dyn DriftDetector =
-            unsafe { std::mem::transmute(self.detector.get()) };
         if self.rich {
-            // SAFETY: forwarded caller contract (samples outlive the handle).
-            PendingWindow::Rich(unsafe {
-                pool.submit_with(
-                    move |shard, scratch| {
-                        detector.judge_batch_rich_scratch(shard, scratch).expect(RICH_IS_GLOBAL)
-                    },
-                    samples,
-                )
-            })
+            Judged::Rich(detector.judge_batch_rich_scratch(shard, scratch).expect(RICH_IS_GLOBAL))
         } else {
-            // SAFETY: forwarded caller contract (samples outlive the handle).
-            PendingWindow::Flat(unsafe {
-                pool.submit_with(
-                    move |shard, scratch| detector.judge_batch_scratch(shard, scratch),
-                    samples,
-                )
-            })
+            Judged::Flat(detector.judge_batch_scratch(shard, scratch))
         }
     }
 
@@ -771,31 +698,6 @@ fn evict_for_absorb(detector: &mut dyn DriftDetector, eviction: BaseEviction) {
     }
 }
 
-/// The asynchronously judged form of one window across a pipeline's
-/// detectors: independent per-detector jobs, or — for
-/// [`MultiPipeline::fanout`] — one **fused** job set whose every sample is
-/// judged once and re-thresholded per served configuration.
-enum PendingWindows {
-    /// One handle per detector (exactly one for [`DeploymentPipeline`]).
-    PerDetector(Vec<PendingWindow>),
-    /// One shared handle: each stitched element is one sample's
-    /// judgements across every served configuration, in registration
-    /// order ([`PromClassifier::judge_batch_fanout_scratch`] transposed
-    /// to sample-major for shard stitching).
-    Fused(PendingResults<Vec<PromJudgement>>),
-}
-
-/// One in-flight asynchronously judged window: the pending worker
-/// handle(s) plus the sample buffer the jobs point into.
-struct InFlight {
-    // Field order matters for `Drop`: the pending handles drain their
-    // jobs (which point into `samples`' heap buffer) before the buffer
-    // drops.
-    pending: PendingWindows,
-    samples: Vec<Sample>,
-    start: usize,
-}
-
 /// The format tag every [`DeploymentPipeline::snapshot`] value carries.
 const PIPELINE_SNAPSHOT_TAG: &str = "deployment-pipeline";
 
@@ -894,6 +796,166 @@ fn validate_pipeline_snapshot(
     }
 }
 
+/// The window state machine behind both pipeline types: ingest buffering,
+/// one synchronous judging dispatch per window for every detector, then
+/// the per-window bookkeeping in registration order. [`DeploymentPipeline`]
+/// runs it over one detector and [`MultiPipeline`] over N; each adds only
+/// its hook type and its own extras on top.
+struct WindowEngine<'a> {
+    /// The persistent shard workers, built only when `config.shards >= 2`
+    /// (otherwise every window judges inline on the caller with
+    /// `scratch`).
+    pool: Option<ShardPool>,
+    states: Vec<DetectorState<'a>>,
+    config: PipelineConfig,
+    /// Samples pushed but not yet judged (the partial window).
+    buffer: Vec<Sample>,
+    /// Global index of the first sample of the next window.
+    next_start: usize,
+    oracle: Option<LabelOracle<'a>>,
+    /// The fused fan-out, when built by [`MultiPipeline::fanout`]: each
+    /// sample is judged ONCE through the shared kernel and re-thresholded
+    /// per served configuration, instead of one full judging per detector.
+    fused: Option<FusedFanout<'a>>,
+    /// The caller-side scratch for inline (pool-less) judging.
+    scratch: JudgeScratch,
+}
+
+/// The shared-kernel judging behind [`MultiPipeline::fanout`].
+struct FusedFanout<'a> {
+    base: &'a PromClassifier,
+    /// One threshold configuration per registered detector, in
+    /// registration order.
+    configs: Vec<PromConfig>,
+}
+
+impl<'a> WindowEngine<'a> {
+    fn new(
+        handles: Vec<DetectorHandle<'a>>,
+        config: PipelineConfig,
+        oracle: Option<LabelOracle<'a>>,
+    ) -> Self {
+        assert!(config.window >= 1, "pipeline window must hold at least one sample");
+        Self {
+            pool: (config.shards >= 2).then(|| ShardPool::new(config.shards)),
+            states: handles.into_iter().map(|h| DetectorState::new(h, &config)).collect(),
+            config,
+            buffer: Vec::with_capacity(config.window),
+            next_start: 0,
+            oracle,
+            fused: None,
+            scratch: JudgeScratch::new(),
+        }
+    }
+
+    /// Resolves every detector's live time series, and the pool's job
+    /// counters when there is a pool, out of `sink`.
+    fn attach_metrics(&mut self, sink: &MetricsSink) {
+        for state in &mut self.states {
+            state.attach_metrics(sink);
+        }
+        if let Some(pool) = &self.pool {
+            pool.attach_metrics(sink);
+        }
+    }
+
+    /// Buffers one sample; returns whether it completed a window.
+    fn push(&mut self, sample: Sample) -> bool {
+        self.buffer.push(sample);
+        for state in &mut self.states {
+            state.stats.pushed += 1;
+        }
+        self.buffer.len() >= self.config.window
+    }
+
+    /// Judges the buffered window for every detector, runs each
+    /// detector's bookkeeping (selection, folding, stats), hands the
+    /// report and the window's samples to `hook`, and returns the report.
+    /// `selector` is the [`BudgetSharing::Shared`] detector, if any.
+    ///
+    /// A shard panic re-raises here, on the caller; the poisoned window is
+    /// dropped, so the engine keeps judging later windows.
+    fn emit(
+        &mut self,
+        selector: Option<usize>,
+        hook: impl FnOnce(&MultiReport, &[Sample]),
+    ) -> MultiReport {
+        let mut samples = std::mem::take(&mut self.buffer);
+        let start = self.next_start;
+        self.next_start += samples.len();
+        let judged = self.judge(&samples);
+        // Shared-budget mode: one selection per window, from the
+        // designated detector's judgements (made before any folding,
+        // exactly like the per-detector selections).
+        let shared: Option<Vec<usize>> = selector.map(|selector| {
+            judged[selector].select(self.config.budget).into_iter().map(|i| start + i).collect()
+        });
+        // Every detector reports every window, so any detector's count
+        // numbers this one.
+        let index = self.states[0].stats.windows;
+        let config = &self.config;
+        let oracle = &mut self.oracle;
+        let reports = self
+            .states
+            .iter_mut()
+            .zip(judged)
+            .map(|(state, judged)| {
+                state.finish_window(
+                    &samples,
+                    judged,
+                    start,
+                    config,
+                    oracle.as_mut(),
+                    shared.as_deref(),
+                )
+            })
+            .collect();
+        let report = MultiReport { index, start, reports };
+        hook(&report, &samples);
+        // Recycle the window's allocation as the next ingest buffer.
+        samples.clear();
+        self.buffer = samples;
+        report
+    }
+
+    /// Judges `samples` for every detector in ONE synchronous dispatch:
+    /// each chunk is judged for all detectors (through the shared kernel
+    /// when fused), and the per-chunk results are concatenated per
+    /// detector, in chunk order — bit-identical to judging the whole
+    /// window once per detector.
+    fn judge(&mut self, samples: &[Sample]) -> Vec<Judged> {
+        let (states, fused) = (&self.states, &self.fused);
+        let judge_chunk = |shard: &[Sample], scratch: &mut JudgeScratch| -> Vec<Judged> {
+            match fused {
+                Some(fused) => fused
+                    .base
+                    .judge_batch_fanout_scratch(shard, &fused.configs, scratch)
+                    .into_iter()
+                    .zip(states)
+                    .map(|(column, state)| Judged::from_fanout(column, state.rich))
+                    .collect(),
+                None => states.iter().map(|state| state.judge(shard, scratch)).collect(),
+            }
+        };
+        let chunks = match &self.pool {
+            Some(pool) => pool.map_chunks(samples, judge_chunk),
+            None => vec![judge_chunk(samples, &mut self.scratch)],
+        };
+        let mut chunks = chunks.into_iter();
+        let mut judged = chunks.next().expect("a judged window holds at least one sample");
+        for chunk in chunks {
+            for (whole, part) in judged.iter_mut().zip(chunk) {
+                whole.append(part);
+            }
+        }
+        assert!(
+            judged.iter().all(|j| j.len() == samples.len()),
+            "a detector must return one judgement per sample"
+        );
+        judged
+    }
+}
+
 /// A streaming deployment front-end over any [`DriftDetector`]: buffers
 /// pushed samples into fixed-size windows, judges each window on shard
 /// threads (bit-identical to sequential judging), and applies the
@@ -924,29 +986,8 @@ fn validate_pipeline_snapshot(
 /// assert!(pipeline.flush().is_none(), "nothing left buffered");
 /// ```
 pub struct DeploymentPipeline<'a> {
-    // Field order matters for `Drop`: an in-flight window drains its
-    // worker jobs (which borrow the detector and the window's samples)
-    // before the pool joins its workers.
-    /// The windows currently judging on the pool (oldest first), in
-    /// double-buffered mode — at most
-    /// [`PipelineConfig::in_flight_windows`] of them.
-    in_flight: std::collections::VecDeque<InFlight>,
-    /// The persistent shard workers (absent when judging runs inline on
-    /// the caller thread).
-    pool: Option<ShardPool>,
-    state: DetectorState<'a>,
-    config: PipelineConfig,
-    buffer: Vec<Sample>,
-    /// Recycled window allocation: the samples of the last collected
-    /// window, cleared, ready to become the next ingest buffer.
-    spare: Option<Vec<Sample>>,
-    /// Global index of the first sample of the next window to be judged
-    /// (submission-time counter; `stats.judged` advances at collection).
-    next_start: usize,
+    engine: WindowEngine<'a>,
     hook: Option<WindowHook<'a>>,
-    oracle: Option<LabelOracle<'a>>,
-    /// The caller-side scratch for inline (pool-less) rich judging.
-    scratch: JudgeScratch,
 }
 
 impl<'a> DeploymentPipeline<'a> {
@@ -992,24 +1033,12 @@ impl<'a> DeploymentPipeline<'a> {
         config: PipelineConfig,
         oracle: Option<LabelOracle<'a>>,
     ) -> Self {
-        assert!(config.window >= 1, "pipeline window must hold at least one sample");
-        assert_in_flight_depth(&config);
-        // Double-buffering needs at least one worker to hand windows to;
-        // otherwise shards <= 1 judges inline without any threads.
-        let pool = (config.shards >= 2 || config.double_buffer)
-            .then(|| ShardPool::new(config.shards.max(1)));
-        Self {
-            in_flight: std::collections::VecDeque::new(),
-            pool,
-            state: DetectorState::new(detector, &config),
-            config,
-            buffer: Vec::with_capacity(config.window),
-            spare: None,
-            next_start: 0,
-            hook: None,
-            oracle,
-            scratch: JudgeScratch::new(),
-        }
+        Self { engine: WindowEngine::new(vec![detector], config, oracle), hook: None }
+    }
+
+    /// The pipeline's one detector state.
+    fn state(&self) -> &DetectorState<'a> {
+        &self.engine.states[0]
     }
 
     /// Installs the per-window hook (replacing any previous one).
@@ -1026,32 +1055,20 @@ impl<'a> DeploymentPipeline<'a> {
     /// resolved and the per-window bookkeeping skips metrics entirely.
     #[must_use]
     pub fn with_metrics(mut self, sink: &MetricsSink) -> Self {
-        self.state.attach_metrics(sink);
-        if let Some(pool) = &self.pool {
-            pool.attach_metrics(sink);
-        }
+        self.engine.attach_metrics(sink);
         self
     }
 
-    /// Pushes one sample; returns a window report when one is due.
+    /// Pushes one sample; the push that completes window N returns window
+    /// N's report (judging runs to completion inside the call).
     ///
-    /// Without [`PipelineConfig::double_buffer`], the push that completes
-    /// window N returns window N's report (judging runs to completion
-    /// inside the call). With it, that push *submits* window N to the
-    /// shard workers and returns the report of window N−1 (collected just
-    /// before the submission, so reports still arrive strictly in window
-    /// order) — ingest never stalls behind judging.
+    /// # Panics
+    ///
+    /// Re-raises a panic of the detector's judging on this thread. The
+    /// window that panicked is dropped unreported; the pipeline keeps
+    /// judging later windows.
     pub fn push(&mut self, sample: Sample) -> Option<WindowReport> {
-        self.buffer.push(sample);
-        self.state.stats.pushed += 1;
-        if self.buffer.len() < self.config.window {
-            return None;
-        }
-        if self.config.double_buffer && self.pool.is_some() {
-            self.rotate()
-        } else {
-            Some(self.emit())
-        }
+        self.engine.push(sample).then(|| self.emit())
     }
 
     /// Pushes every sample of `stream`, collecting the reports of all
@@ -1060,46 +1077,26 @@ impl<'a> DeploymentPipeline<'a> {
         stream.into_iter().filter_map(|s| self.push(s)).collect()
     }
 
-    /// Drains pending work in window order: first the in-flight windows
-    /// (oldest first, if double-buffering left any judging on the pool),
-    /// then whatever is buffered as a final (possibly short) window.
-    /// Returns one report per call; **call until it returns `None`** to
-    /// drain everything (at most [`PipelineConfig::in_flight_windows`]
-    /// in-flight reports, then the partial tail).
+    /// Judges whatever is buffered as a final (possibly short) window and
+    /// reports it.
     ///
-    /// Double-buffering delays reports by up to
-    /// [`PipelineConfig::in_flight_windows`] windows — at depth 1, the
-    /// `push` that fills window N+1 returns window N's report — but never
-    /// reorders them: `flush` always yields the oldest outstanding window
-    /// first, so reports arrive strictly in window order in every
-    /// execution mode (the same contract as [`MultiPipeline::flush`],
-    /// which extends it per detector).
-    ///
-    /// Once nothing is pending — in particular on a second `flush` after a
-    /// full drain, when the partial window is empty — `flush` is a
-    /// documented no-op returning `None`: it judges nothing, reports
+    /// With nothing buffered — in particular on a second `flush` — `flush`
+    /// is a documented no-op returning `None`: it judges nothing, reports
     /// nothing, calls no hook, and leaves every counter untouched, so
     /// defensive double-flushing is always safe.
     pub fn flush(&mut self) -> Option<WindowReport> {
-        if let Some(window) = self.in_flight.pop_front() {
-            return Some(self.finish_in_flight(window));
-        }
-        (!self.buffer.is_empty()).then(|| self.emit())
+        (!self.engine.buffer.is_empty()).then(|| self.emit())
     }
 
-    /// Samples accepted by `push` but not yet reported: the partial ingest
-    /// buffer plus, in double-buffered mode, the windows currently being
-    /// judged on the shard workers.
+    /// Samples accepted by `push` but not yet reported (the partial
+    /// window).
     pub fn pending(&self) -> usize {
-        self.buffer.len() + self.in_flight.iter().map(|w| w.samples.len()).sum::<usize>()
+        self.engine.buffer.len()
     }
 
-    /// Lifetime totals. In double-buffered mode `judged` (and the other
-    /// per-window counters) advance when a window's report is collected,
-    /// so they can trail `pushed` by up to one full window plus the
-    /// partial buffer.
+    /// Lifetime totals.
     pub fn stats(&self) -> PipelineStats {
-        self.state.stats
+        self.state().stats
     }
 
     /// Lifetime reservoir churn: how many absorbed relabels *replaced*
@@ -1110,16 +1107,16 @@ impl<'a> DeploymentPipeline<'a> {
     /// [`DeploymentPipeline::snapshot`] — a restored pipeline restarts
     /// its churn count at 0.
     pub fn reservoir_churn(&self) -> usize {
-        self.state.churn
+        self.state().churn
     }
 
     /// Captures everything this pipeline needs to resume **bit-identically**
     /// in a later process: the detector's portable state
     /// ([`DriftDetector::snapshot_state`]), the reservoir sampler's exact
     /// mid-stream position, the partial ingest buffer, and the stream
-    /// counters. Any in-flight double-buffered windows are drained first —
-    /// their reports are returned alongside the state, in window order — so
-    /// a snapshot never captures a half-judged window.
+    /// counters. Every full window has already been reported by the push
+    /// that filled it, so the returned `Vec` of drained reports is always
+    /// empty; it is kept for signature stability.
     ///
     /// Feed the value to [`DeploymentPipeline::restore_online`] (or
     /// [`DeploymentPipeline::restore`] for frozen pipelines) to resume;
@@ -1132,28 +1129,25 @@ impl<'a> DeploymentPipeline<'a> {
     /// policy over a detector that exposes no portable state — resuming
     /// such a pipeline elsewhere could not reproduce its absorbed records.
     pub fn snapshot(&mut self) -> Result<(Vec<WindowReport>, Value), DeError> {
-        let mut reports = Vec::new();
-        while let Some(window) = self.in_flight.pop_front() {
-            reports.push(self.finish_in_flight(window));
-        }
-        let detector = self.state.detector.get().snapshot_state();
-        if self.config.policy != CalibrationPolicy::Frozen && detector.is_none() {
+        let state = self.state();
+        let detector = state.detector.get().snapshot_state();
+        if self.engine.config.policy != CalibrationPolicy::Frozen && detector.is_none() {
             return Err(DeError::custom(format!(
                 "detector '{}' exposes no portable state, so this online pipeline \
                  cannot be snapshotted",
-                self.state.detector.get().name()
+                state.detector.get().name()
             )));
         }
         let snap = PipelineSnapshot {
             pipeline: PIPELINE_SNAPSHOT_TAG.to_string(),
-            window: self.config.window,
+            window: self.engine.config.window,
             detector,
-            reservoir: self.state.reservoir.as_ref().map(ReservoirCalibration::snapshot),
-            buffer: self.buffer.clone(),
-            next_start: self.next_start,
-            stats: self.state.stats,
+            reservoir: state.reservoir.as_ref().map(ReservoirCalibration::snapshot),
+            buffer: self.engine.buffer.clone(),
+            next_start: self.engine.next_start,
+            stats: state.stats,
         };
-        Ok((reports, snap.to_value()))
+        Ok((Vec::new(), snap.to_value()))
     }
 
     /// Rebuilds an *online* pipeline from a [`DeploymentPipeline::snapshot`]
@@ -1167,9 +1161,8 @@ impl<'a> DeploymentPipeline<'a> {
     /// it: same `window`, same calibration policy family, same reservoir
     /// capacity. (A [`CalibrationPolicy::Reservoir`] seed is superseded by
     /// the snapshot's saved RNG position — the sampler resumes mid-stream,
-    /// it does not restart.) Execution knobs — `shards`, `double_buffer`,
-    /// `in_flight_windows` — may differ freely; they never change report
-    /// contents.
+    /// it does not restart.) The execution knob `shards` may differ
+    /// freely; it never changes report contents.
     ///
     /// # Errors
     ///
@@ -1181,7 +1174,7 @@ impl<'a> DeploymentPipeline<'a> {
     /// # Panics
     ///
     /// Panics where [`DeploymentPipeline::online`] does (zero window,
-    /// zero reservoir capacity, invalid in-flight depth).
+    /// zero reservoir capacity).
     pub fn restore_online(
         detector: &'a mut dyn DriftDetector,
         config: PipelineConfig,
@@ -1231,92 +1224,23 @@ impl<'a> DeploymentPipeline<'a> {
     /// Installs a validated snapshot's stream position into a freshly built
     /// pipeline (the shared tail of both restore constructors).
     fn resume(&mut self, snap: PipelineSnapshot) {
-        self.state.reservoir = snap.reservoir.as_ref().map(ReservoirCalibration::restore);
-        self.buffer = snap.buffer;
-        self.next_start = snap.next_start;
-        self.state.stats = snap.stats;
+        let engine = &mut self.engine;
+        engine.states[0].reservoir = snap.reservoir.as_ref().map(ReservoirCalibration::restore);
+        engine.states[0].stats = snap.stats;
+        engine.buffer = snap.buffer;
+        engine.next_start = snap.next_start;
     }
 
-    /// Synchronous window emission: judge the buffered window to
-    /// completion (on the pool when one exists) and report it.
+    /// Judges and reports the buffered window, then runs the caller's
+    /// hook.
     fn emit(&mut self) -> WindowReport {
-        let samples = std::mem::take(&mut self.buffer);
-        let start = self.next_start;
-        self.next_start += samples.len();
-        let judged = self.state.judge_sync(self.pool.as_ref(), &mut self.scratch, &samples);
-        let report = self.finish_window(&samples, judged, start);
-        // Recycle the window's allocation as the next ingest buffer.
-        let mut samples = samples;
-        samples.clear();
-        self.buffer = samples;
-        report
-    }
-
-    /// Double-buffered rotation: collect the oldest in-flight window once
-    /// the queue is at its configured depth (folding its relabels — which
-    /// at depth 1 is why collection must precede the next submission:
-    /// window N+1's judging has to see the calibration state window N
-    /// left behind, exactly as in the sequential order; deeper queues are
-    /// frozen-only, where folding never mutates), then hand the
-    /// just-filled buffer to the pool and return immediately.
-    fn rotate(&mut self) -> Option<WindowReport> {
-        let prev = (self.in_flight.len() >= self.config.in_flight_windows)
-            .then(|| self.in_flight.pop_front())
-            .flatten()
-            .map(|window| self.finish_in_flight(window));
-        let next = self.spare.take().unwrap_or_default();
-        let samples = std::mem::replace(&mut self.buffer, next);
-        let start = self.next_start;
-        self.next_start += samples.len();
-        // SAFETY: the detector outlives the pipeline (`'a` borrow), the
-        // handle is stored in `self.in_flight` next to the sample buffer
-        // its jobs point into and always collected or dropped (field
-        // order drains it before the buffer and the pool go away), and
-        // the only detector mutation (`fold_relabels`) happens in
-        // `finish_window`, strictly after every handle submitted earlier
-        // has been collected (depth 1), or never at all (deeper queues
-        // are frozen-only — `assert_in_flight_depth`).
-        let pending = unsafe {
-            let pool = self.pool.as_ref().expect("double-buffered mode always builds a pool");
-            self.state.submit(pool, &samples)
-        };
-        self.in_flight.push_back(InFlight {
-            pending: PendingWindows::PerDetector(vec![pending]),
-            samples,
-            start,
+        let hook = &mut self.hook;
+        let multi = self.engine.emit(None, |multi, samples| {
+            if let Some(hook) = hook.as_mut() {
+                hook(&multi.reports[0], samples);
+            }
         });
-        prev
-    }
-
-    /// Blocks for an in-flight window's judgements and reports it.
-    fn finish_in_flight(&mut self, window: InFlight) -> WindowReport {
-        let InFlight { pending, samples, start } = window;
-        let PendingWindows::PerDetector(mut pending) = pending else {
-            unreachable!("single-detector pipelines never submit fused windows");
-        };
-        let judged = pending.pop().expect("single-detector windows carry one handle").collect();
-        let report = self.finish_window(&samples, judged, start);
-        let mut samples = samples;
-        samples.clear();
-        self.spare = Some(samples);
-        report
-    }
-
-    /// Per-window bookkeeping (see [`DetectorState::finish_window`]) plus
-    /// the caller's hook.
-    fn finish_window(&mut self, samples: &[Sample], judged: Judged, start: usize) -> WindowReport {
-        let report = self.state.finish_window(
-            samples,
-            judged,
-            start,
-            &self.config,
-            self.oracle.as_mut(),
-            None,
-        );
-        if let Some(hook) = self.hook.as_mut() {
-            hook(&report, samples);
-        }
-        report
+        multi.reports.into_iter().next().expect("one report per detector")
     }
 }
 
@@ -1366,22 +1290,18 @@ pub struct MultiReport {
 pub type MultiWindowHook<'a> = Box<dyn FnMut(&MultiReport, &[Sample]) + Send + 'a>;
 
 /// A streaming deployment front-end that serves **N detectors over one
-/// sample stream**: each window is ingested once and fanned out to every
-/// registered detector as independent jobs on one shared [`ShardPool`],
-/// so comparing detectors in production shape no longer means replaying
-/// the stream (and re-paying the underlying model's forward pass) once
-/// per detector.
+/// sample stream**: each window is ingested once and judged for every
+/// registered detector in one dispatch on one shared [`ShardPool`], so
+/// comparing detectors in production shape no longer means replaying the
+/// stream (and re-paying the underlying model's forward pass) once per
+/// detector.
 ///
 /// Everything [`DeploymentPipeline`] guarantees holds per detector:
 /// reports are bit-identical to N independent single-detector pipelines
 /// over the same stream — judgements, flagged/relabel indices, online
-/// absorption, post-run calibration sets — in every execution mode
+/// absorption, post-run calibration sets — at every shard count
 /// (`tests/pipeline_equivalence.rs`), provided the label oracle is a pure
-/// function of `(global index, sample)`. With
-/// [`PipelineConfig::double_buffer`], all N detectors' jobs for window W
-/// overlap with the ingest of window W+1 on the same worker pool, and
-/// reports arrive one window late exactly as in the single-detector
-/// pipeline ([`MultiPipeline::flush`] drains the tail).
+/// function of `(global index, sample)`.
 ///
 /// ```
 /// use prom_core::detector::{DriftDetector, Judgement, Sample};
@@ -1411,89 +1331,9 @@ pub type MultiWindowHook<'a> = Box<dyn FnMut(&MultiReport, &[Sample]) + Send + '
 /// assert!(pipeline.flush().is_none(), "nothing left buffered");
 /// ```
 pub struct MultiPipeline<'a> {
-    // Field order matters for `Drop`: an in-flight window drains its
-    // worker jobs (which borrow the detectors and the window's samples)
-    // before the pool joins its workers.
-    /// The windows currently judging on the pool (oldest first, one
-    /// pending handle set per detector per window), in double-buffered
-    /// mode — at most [`PipelineConfig::in_flight_windows`] of them.
-    in_flight: std::collections::VecDeque<InFlight>,
-    /// The shared persistent shard workers every detector's windows are
-    /// judged on.
-    pool: ShardPool,
-    states: Vec<DetectorState<'a>>,
-    config: PipelineConfig,
+    engine: WindowEngine<'a>,
     sharing: BudgetSharing,
-    buffer: Vec<Sample>,
-    /// Recycled window allocation (see [`DeploymentPipeline`]).
-    spare: Option<Vec<Sample>>,
-    /// Global index of the first sample of the next window to be judged.
-    next_start: usize,
-    /// Windows reported so far (every detector reports every window).
-    windows: usize,
     hook: Option<MultiWindowHook<'a>>,
-    oracle: Option<LabelOracle<'a>>,
-    /// The fused fan-out engine, when this pipeline was built with
-    /// [`MultiPipeline::fanout`]: windows are judged through ONE kernel
-    /// pass per sample and re-thresholded per served configuration,
-    /// instead of one independent full judging job per detector.
-    fused: Option<FusedFanout<'a>>,
-}
-
-/// The shared-kernel engine behind [`MultiPipeline::fanout`].
-struct FusedFanout<'a> {
-    base: &'a PromClassifier,
-    /// One threshold configuration per registered detector, in
-    /// registration order. `Arc`ed so the double-buffered submission can
-    /// hand the worker closure a `'static` handle without transmuting.
-    configs: Arc<[PromConfig]>,
-}
-
-/// Judges `shard` once per sample through the shared kernel and returns
-/// **sample-major** rows (`rows[s][c]` = sample `s` under configuration
-/// `c`) — the shape [`ShardPool`] stitching needs (one element per input
-/// sample).
-fn fanout_rows(
-    base: &PromClassifier,
-    configs: &[PromConfig],
-    shard: &[Sample],
-    scratch: &mut JudgeScratch,
-) -> Vec<Vec<PromJudgement>> {
-    let per_config = base.judge_batch_fanout_scratch(shard, configs, scratch);
-    let mut rows: Vec<Vec<PromJudgement>> =
-        (0..shard.len()).map(|_| Vec::with_capacity(configs.len())).collect();
-    for column in per_config {
-        for (row, judgement) in rows.iter_mut().zip(column) {
-            row.push(judgement);
-        }
-    }
-    rows
-}
-
-/// Transposes stitched sample-major fan-out rows back into one
-/// [`Judged`] window per detector, in the form each detector's selection
-/// policy picked at construction (rich, or flattened exactly like
-/// [`DriftDetector::judge_batch`] flattens).
-fn split_fanout(rows: Vec<Vec<PromJudgement>>, states: &[DetectorState<'_>]) -> Vec<Judged> {
-    let mut columns: Vec<Vec<PromJudgement>> =
-        (0..states.len()).map(|_| Vec::with_capacity(rows.len())).collect();
-    for row in rows {
-        debug_assert_eq!(row.len(), states.len(), "one judgement per served configuration");
-        for (column, judgement) in columns.iter_mut().zip(row) {
-            column.push(judgement);
-        }
-    }
-    columns
-        .into_iter()
-        .zip(states)
-        .map(|(column, state)| {
-            if state.rich {
-                Judged::Rich(column)
-            } else {
-                Judged::Flat(column.into_iter().map(Judgement::from).collect())
-            }
-        })
-        .collect()
 }
 
 impl<'a> MultiPipeline<'a> {
@@ -1585,7 +1425,7 @@ impl<'a> MultiPipeline<'a> {
             })
             .collect::<Result<Vec<_>, _>>()?;
         let mut built = Self::build(handles, config, None);
-        built.fused = Some(FusedFanout { base, configs: configs.into() });
+        built.engine.fused = Some(FusedFanout { base, configs });
         Ok(built)
     }
 
@@ -1595,26 +1435,10 @@ impl<'a> MultiPipeline<'a> {
         oracle: Option<LabelOracle<'a>>,
     ) -> Self {
         assert!(!handles.is_empty(), "a multi-detector pipeline needs at least one detector");
-        assert!(config.window >= 1, "pipeline window must hold at least one sample");
-        assert_in_flight_depth(&config);
-        let states = handles.into_iter().map(|h| DetectorState::new(h, &config)).collect();
         Self {
-            in_flight: std::collections::VecDeque::new(),
-            // The fan-out always runs on a pool: with one worker the
-            // single-chunk windows still judge inline on the caller via
-            // the pool's owned scratch (no cross-thread handoff), and
-            // double-buffering has a worker to hand windows to.
-            pool: ShardPool::new(config.shards.max(1)),
-            states,
-            config,
+            engine: WindowEngine::new(handles, config, oracle),
             sharing: BudgetSharing::PerDetector,
-            buffer: Vec::with_capacity(config.window),
-            spare: None,
-            next_start: 0,
-            windows: 0,
             hook: None,
-            oracle,
-            fused: None,
         }
     }
 
@@ -1628,9 +1452,9 @@ impl<'a> MultiPipeline<'a> {
     #[must_use]
     pub fn shared_budget(mut self, selector: usize) -> Self {
         assert!(
-            selector < self.states.len(),
+            selector < self.detectors(),
             "shared-budget selector {selector} out of range ({} detectors)",
-            self.states.len()
+            self.detectors()
         );
         self.sharing = BudgetSharing::Shared { selector };
         self
@@ -1649,41 +1473,25 @@ impl<'a> MultiPipeline<'a> {
     /// [`DeploymentPipeline::with_metrics`].
     #[must_use]
     pub fn with_metrics(mut self, sink: &MetricsSink) -> Self {
-        for state in &mut self.states {
-            state.attach_metrics(sink);
-        }
-        self.pool.attach_metrics(sink);
+        self.engine.attach_metrics(sink);
         self
     }
 
     /// Number of registered detectors.
     pub fn detectors(&self) -> usize {
-        self.states.len()
+        self.engine.states.len()
     }
 
     /// Detector display names, in registration order.
     pub fn names(&self) -> Vec<&'static str> {
-        self.states.iter().map(|s| s.detector.get().name()).collect()
+        self.engine.states.iter().map(|s| s.detector.get().name()).collect()
     }
 
     /// Pushes one sample; returns a window's worth of per-detector
-    /// reports when one is due. The double-buffered contract is the same
-    /// one-window-late deal as [`DeploymentPipeline::push`]: the push
-    /// that fills window N+1 returns window N's reports, and
-    /// [`MultiPipeline::flush`] drains the tail.
+    /// reports when one is due, exactly like [`DeploymentPipeline::push`]
+    /// (whose `# Panics` contract it shares).
     pub fn push(&mut self, sample: Sample) -> Option<MultiReport> {
-        self.buffer.push(sample);
-        for state in &mut self.states {
-            state.stats.pushed += 1;
-        }
-        if self.buffer.len() < self.config.window {
-            return None;
-        }
-        if self.config.double_buffer {
-            self.rotate()
-        } else {
-            Some(self.emit())
-        }
+        self.engine.push(sample).then(|| self.emit())
     }
 
     /// Pushes every sample of `stream`, collecting the reports of all
@@ -1692,211 +1500,48 @@ impl<'a> MultiPipeline<'a> {
         stream.into_iter().filter_map(|s| self.push(s)).collect()
     }
 
-    /// Drains pending work in window order, exactly like
-    /// [`DeploymentPipeline::flush`]: first the in-flight window (if
-    /// double-buffering left one judging on the pool), then whatever is
-    /// buffered as a final (possibly short) window; one report-set per
-    /// call, **call until it returns `None`**. Within every
-    /// [`MultiReport`] the per-detector reports are already in
-    /// registration order, and successive `MultiReport`s are in window
-    /// order for every detector — double-buffering delays reports by one
-    /// window but never reorders them. Once nothing is pending, `flush`
-    /// is the same documented no-op: judges nothing, reports nothing,
-    /// calls no hook, leaves every counter untouched.
+    /// Judges whatever is buffered as a final (possibly short) window,
+    /// exactly like [`DeploymentPipeline::flush`]. Within every
+    /// [`MultiReport`] the per-detector reports are in registration order.
+    /// With nothing buffered, `flush` is the same documented no-op:
+    /// judges nothing, reports nothing, calls no hook, leaves every
+    /// counter untouched.
     pub fn flush(&mut self) -> Option<MultiReport> {
-        if let Some(window) = self.in_flight.pop_front() {
-            return Some(self.finish_in_flight(window));
-        }
-        (!self.buffer.is_empty()).then(|| self.emit())
+        (!self.engine.buffer.is_empty()).then(|| self.emit())
     }
 
-    /// Samples accepted by `push` but not yet reported (partial ingest
-    /// buffer plus any in-flight windows).
+    /// Samples accepted by `push` but not yet reported (the partial
+    /// window).
     pub fn pending(&self) -> usize {
-        self.buffer.len() + self.in_flight.iter().map(|w| w.samples.len()).sum::<usize>()
+        self.engine.buffer.len()
     }
 
     /// Lifetime totals, one per detector in registration order. Each
     /// entry is exactly what the corresponding single-detector pipeline's
     /// [`DeploymentPipeline::stats`] would report.
     pub fn stats(&self) -> Vec<PipelineStats> {
-        self.states.iter().map(|s| s.stats).collect()
+        self.engine.states.iter().map(|s| s.stats).collect()
     }
 
     /// Lifetime reservoir churn per detector, in registration order —
     /// see [`DeploymentPipeline::reservoir_churn`].
     pub fn reservoir_churn(&self) -> Vec<usize> {
-        self.states.iter().map(|s| s.churn).collect()
+        self.engine.states.iter().map(|s| s.churn).collect()
     }
 
-    /// Synchronous window emission: judge the buffered window to
-    /// completion for every detector (each on the shared pool, one
-    /// detector at a time) and report it.
+    /// Judges and reports the buffered window for every detector, then
+    /// runs the caller's hook.
     fn emit(&mut self) -> MultiReport {
-        let samples = std::mem::take(&mut self.buffer);
-        let start = self.next_start;
-        self.next_start += samples.len();
-        let judged: Vec<Judged> = if let Some(fused) = &self.fused {
-            // Fused form: each shard judges its samples ONCE through the
-            // shared kernel and re-thresholds per configuration —
-            // `pool.map` shards across workers (or runs inline on the
-            // caller with the pool's scratch for single-chunk windows).
-            let rows = self.pool.map(&samples, |shard, scratch| {
-                fanout_rows(fused.base, &fused.configs, shard, scratch)
-            });
-            split_fanout(rows, &self.states)
-        } else if self.pool.workers() > 1 {
-            // Fan every detector's jobs out before collecting any, so a
-            // cheap detector's chunks fill worker idle time while an
-            // expensive detector's window is still judging — judging one
-            // detector at a time would pay a full dispatch/drain barrier
-            // per detector.
-            //
-            // SAFETY: `samples` outlives the handles — every handle is
-            // collected (or, on unwind, dropped and thereby drained)
-            // within this frame before the buffer can go away — and no
-            // detector is mutated until all handles have been collected.
-            let pending: Vec<PendingWindow> = self
-                .states
-                .iter()
-                .map(|state| unsafe { state.submit(&self.pool, &samples) })
-                .collect();
-            pending.into_iter().map(PendingWindow::collect).collect()
-        } else {
-            // One worker: judge inline, detector by detector — the
-            // pool's single-chunk path runs on the caller thread with
-            // the pool-owned scratch, so a 1-CPU host pays no
-            // cross-thread handoff for zero parallelism. (The caller
-            // scratch below is only read by `judge_sync`'s pool-less
-            // rich arm, unreachable here.)
-            let mut scratch = JudgeScratch::new();
-            self.states
-                .iter()
-                .map(|state| state.judge_sync(Some(&self.pool), &mut scratch, &samples))
-                .collect()
-        };
-        let report = self.finish_window(&samples, judged, start);
-        let mut samples = samples;
-        samples.clear();
-        self.buffer = samples;
-        report
-    }
-
-    /// Double-buffered rotation: collect the oldest in-flight window for
-    /// every detector once the queue is at its configured depth (folding
-    /// relabels before the next submission, so at depth 1 window N+1's
-    /// judging sees the calibration state window N left behind — per
-    /// detector, the sequential order; deeper queues are frozen-only),
-    /// then fan the just-filled buffer out to all detectors and return
-    /// immediately.
-    fn rotate(&mut self) -> Option<MultiReport> {
-        let prev = (self.in_flight.len() >= self.config.in_flight_windows)
-            .then(|| self.in_flight.pop_front())
-            .flatten()
-            .map(|window| self.finish_in_flight(window));
-        let next = self.spare.take().unwrap_or_default();
-        let samples = std::mem::replace(&mut self.buffer, next);
-        let start = self.next_start;
-        self.next_start += samples.len();
-        // SAFETY: the detectors (and the fused base) outlive the pipeline
-        // (`'a` borrows), all handles live in `self.in_flight` next to
-        // the one sample buffer their jobs point into and are always
-        // collected or dropped (field order drains them before the
-        // buffer and the pool go away), and detector mutation (relabel
-        // folding) happens strictly after every handle of the window has
-        // been collected.
-        let pending = if let Some(fused) = &self.fused {
-            // SAFETY: erasing the base borrow to 'static for the worker
-            // job; the caller contract above keeps it alive and
-            // un-mutated until the handle drains. The configs travel by
-            // `Arc`, so they need no erasure.
-            let base: &'static PromClassifier = unsafe { std::mem::transmute(fused.base) };
-            let configs = Arc::clone(&fused.configs);
-            // SAFETY: samples outlive the handle (stored beside it).
-            PendingWindows::Fused(unsafe {
-                self.pool.submit_with(
-                    move |shard, scratch| fanout_rows(base, &configs, shard, scratch),
-                    &samples,
-                )
-            })
-        } else {
-            PendingWindows::PerDetector(
-                self.states
-                    .iter()
-                    .map(|state| unsafe { state.submit(&self.pool, &samples) })
-                    .collect(),
-            )
-        };
-        self.in_flight.push_back(InFlight { pending, samples, start });
-        prev
-    }
-
-    /// Blocks for an in-flight window's judgements (all detectors) and
-    /// reports it.
-    fn finish_in_flight(&mut self, window: InFlight) -> MultiReport {
-        let InFlight { pending, samples, start } = window;
-        // Collect every handle before any bookkeeping: no detector may
-        // be mutated while another detector's jobs are still borrowing
-        // the window.
-        let judged: Vec<Judged> = match pending {
-            PendingWindows::PerDetector(pending) => {
-                pending.into_iter().map(PendingWindow::collect).collect()
-            }
-            PendingWindows::Fused(pending) => split_fanout(pending.collect(), &self.states),
-        };
-        let report = self.finish_window(&samples, judged, start);
-        let mut samples = samples;
-        samples.clear();
-        self.spare = Some(samples);
-        report
-    }
-
-    /// The per-window bookkeeping fan-in: shared-budget selection (when
-    /// configured), then every detector's flagging / selection / folding
-    /// / stats, in registration order, strictly on the caller thread.
-    fn finish_window(
-        &mut self,
-        samples: &[Sample],
-        judged: Vec<Judged>,
-        start: usize,
-    ) -> MultiReport {
-        // Shared-budget mode: one selection per window, from the
-        // designated detector's judgements (computed before any folding,
-        // exactly like the per-detector selections).
-        let shared: Option<Vec<usize>> = match self.sharing {
+        let selector = match self.sharing {
             BudgetSharing::PerDetector => None,
-            BudgetSharing::Shared { selector } => Some(
-                judged[selector]
-                    .select(self.config.budget)
-                    .into_iter()
-                    .map(|i| start + i)
-                    .collect(),
-            ),
+            BudgetSharing::Shared { selector } => Some(selector),
         };
-        let index = self.windows;
-        self.windows += 1;
-        let config = &self.config;
-        let oracle = &mut self.oracle;
-        let reports: Vec<WindowReport> = self
-            .states
-            .iter_mut()
-            .zip(judged)
-            .map(|(state, judged)| {
-                state.finish_window(
-                    samples,
-                    judged,
-                    start,
-                    config,
-                    oracle.as_mut(),
-                    shared.as_deref(),
-                )
-            })
-            .collect();
-        let report = MultiReport { index, start, reports };
-        if let Some(hook) = self.hook.as_mut() {
-            hook(&report, samples);
-        }
-        report
+        let hook = &mut self.hook;
+        self.engine.emit(selector, |report, samples| {
+            if let Some(hook) = hook.as_mut() {
+                hook(report, samples);
+            }
+        })
     }
 }
 
@@ -2038,191 +1683,32 @@ mod tests {
     }
 
     #[test]
-    fn double_buffered_reports_match_the_synchronous_pipeline() {
+    fn flush_after_a_full_drain_is_a_noop() {
         let det = Threshold;
-        let run = |double_buffer: bool| {
-            let mut pipeline = DeploymentPipeline::new(
-                &det,
-                PipelineConfig { window: 6, shards: 3, double_buffer, ..Default::default() },
-            );
-            let mut reports = pipeline.extend(stream(40));
-            while let Some(report) = pipeline.flush() {
-                reports.push(report);
-            }
-            (reports, pipeline.stats())
-        };
-        let (sync_reports, sync_stats) = run(false);
-        let (db_reports, db_stats) = run(true);
-        assert_eq!(sync_reports.len(), db_reports.len());
-        for (a, b) in sync_reports.iter().zip(db_reports.iter()) {
-            assert_eq!(a.index, b.index);
-            assert_eq!(a.start, b.start);
-            assert_eq!(a.judgements, b.judgements);
-            assert_eq!(a.flagged, b.flagged);
-            assert_eq!(a.relabel, b.relabel);
-        }
-        assert_eq!(sync_stats, db_stats);
-    }
-
-    #[test]
-    fn deeper_in_flight_queues_report_identically_and_in_order() {
-        let det = Threshold;
-        let run = |depth: usize| {
-            let mut pipeline = DeploymentPipeline::new(
-                &det,
-                PipelineConfig {
-                    window: 5,
-                    shards: 3,
-                    double_buffer: depth >= 1,
-                    in_flight_windows: depth.max(1),
-                    ..Default::default()
-                },
-            );
-            let mut reports = pipeline.extend(stream(47));
-            while let Some(report) = pipeline.flush() {
-                reports.push(report);
-            }
-            (reports, pipeline.stats())
-        };
-        let (sync_reports, sync_stats) = run(0);
-        for depth in [1, 2, 4, 16] {
-            let (deep_reports, deep_stats) = run(depth);
-            assert_eq!(sync_reports.len(), deep_reports.len(), "depth {depth}");
-            for (a, b) in sync_reports.iter().zip(deep_reports.iter()) {
-                assert_eq!(a.index, b.index, "depth {depth}: in window order");
-                assert_eq!(a.start, b.start, "depth {depth}");
-                assert_eq!(a.judgements, b.judgements, "depth {depth}");
-                assert_eq!(a.flagged, b.flagged, "depth {depth}");
-                assert_eq!(a.relabel, b.relabel, "depth {depth}");
-            }
-            assert_eq!(sync_stats, deep_stats, "depth {depth}");
-        }
-    }
-
-    #[test]
-    fn deep_in_flight_push_delays_reports_by_the_configured_depth() {
-        let det = Threshold;
+        let hook_calls = std::sync::atomic::AtomicUsize::new(0);
         let mut pipeline = DeploymentPipeline::new(
             &det,
-            PipelineConfig {
-                window: 2,
-                shards: 2,
-                double_buffer: true,
-                in_flight_windows: 3,
-                ..Default::default()
-            },
-        );
-        let mut samples = stream(10).into_iter();
-        // Windows 0, 1, 2 fill the in-flight queue without reporting.
-        for i in 0..6 {
-            assert!(pipeline.push(samples.next().unwrap()).is_none(), "push {i}");
-        }
-        assert_eq!(pipeline.pending(), 6, "three windows in flight");
-        // Filling window 3 evicts (and reports) window 0.
-        assert!(pipeline.push(samples.next().unwrap()).is_none());
-        let report = pipeline.push(samples.next().unwrap()).expect("window 0 evicted");
-        assert_eq!(report.index, 0);
-        // Drain: windows 1, 2, 3 in order.
-        let mut indices = Vec::new();
-        while let Some(report) = pipeline.flush() {
-            indices.push(report.index);
-        }
-        assert_eq!(indices, vec![1, 2, 3]);
-    }
+            PipelineConfig { window: 5, shards: 2, ..Default::default() },
+        )
+        .on_window(|_, _| {
+            hook_calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        });
+        pipeline.extend(stream(13));
+        while pipeline.flush().is_some() {}
+        let drained = pipeline.stats();
+        assert_eq!(drained.judged, 13);
+        assert_eq!(drained.windows, 3);
+        assert_eq!(hook_calls.load(std::sync::atomic::Ordering::SeqCst), 3);
 
-    #[test]
-    #[should_panic(expected = "requires CalibrationPolicy::Frozen")]
-    fn deep_in_flight_queues_reject_online_policies() {
-        let mut det = Threshold;
-        let _ = DeploymentPipeline::online(
-            &mut det,
-            PipelineConfig {
-                policy: CalibrationPolicy::GrowUnbounded,
-                double_buffer: true,
-                in_flight_windows: 2,
-                ..Default::default()
-            },
-            |_, _| None,
-        );
-    }
-
-    #[test]
-    fn double_buffered_push_returns_the_previous_windows_report() {
-        let det = Threshold;
-        let mut pipeline = DeploymentPipeline::new(
-            &det,
-            PipelineConfig { window: 4, shards: 2, double_buffer: true, ..Default::default() },
-        );
-        let mut samples = stream(8).into_iter();
+        // The documented no-op: an empty partial window means flush
+        // judges nothing, reports nothing, calls no hook, and leaves
+        // every counter untouched — however often it is called.
         for _ in 0..3 {
-            assert!(pipeline.push(samples.next().unwrap()).is_none());
+            assert!(pipeline.flush().is_none());
         }
-        // Filling window 0 only submits it.
-        assert!(pipeline.push(samples.next().unwrap()).is_none());
-        assert_eq!(pipeline.pending(), 4, "window 0 is in flight");
-        for _ in 0..3 {
-            assert!(pipeline.push(samples.next().unwrap()).is_none());
-        }
-        // Filling window 1 returns window 0's report.
-        let report = pipeline.push(samples.next().unwrap()).expect("window 0 report");
-        assert_eq!(report.index, 0);
-        assert_eq!(report.start, 0);
-        // Draining: window 1 first, then nothing is buffered.
-        let tail = pipeline.flush().expect("window 1 report");
-        assert_eq!(tail.index, 1);
-        assert_eq!(tail.start, 4);
-        assert!(pipeline.flush().is_none());
-    }
-
-    #[test]
-    fn flush_after_a_full_drain_is_a_noop_in_both_modes() {
-        let det = Threshold;
-        for double_buffer in [false, true] {
-            let hook_calls = std::sync::atomic::AtomicUsize::new(0);
-            let mut pipeline = DeploymentPipeline::new(
-                &det,
-                PipelineConfig { window: 5, shards: 2, double_buffer, ..Default::default() },
-            )
-            .on_window(|_, _| {
-                hook_calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            });
-            pipeline.extend(stream(13));
-            while pipeline.flush().is_some() {}
-            let drained = pipeline.stats();
-            assert_eq!(drained.judged, 13, "double_buffer {double_buffer}");
-            assert_eq!(drained.windows, 3, "double_buffer {double_buffer}");
-            assert_eq!(
-                hook_calls.load(std::sync::atomic::Ordering::SeqCst),
-                3,
-                "double_buffer {double_buffer}"
-            );
-
-            // The documented no-op: an empty partial window means flush
-            // judges nothing, reports nothing, calls no hook, and leaves
-            // every counter untouched — however often it is called.
-            for _ in 0..3 {
-                assert!(pipeline.flush().is_none(), "double_buffer {double_buffer}");
-            }
-            assert_eq!(pipeline.stats(), drained, "double_buffer {double_buffer}");
-            assert_eq!(
-                hook_calls.load(std::sync::atomic::Ordering::SeqCst),
-                3,
-                "double_buffer {double_buffer}"
-            );
-            drop(pipeline);
-        }
-    }
-
-    #[test]
-    fn dropping_a_double_buffered_pipeline_with_an_in_flight_window_is_clean() {
-        let det = Threshold;
-        let mut pipeline = DeploymentPipeline::new(
-            &det,
-            PipelineConfig { window: 4, shards: 2, double_buffer: true, ..Default::default() },
-        );
-        pipeline.extend(stream(4)); // submits window 0, never collected
-        assert_eq!(pipeline.pending(), 4);
-        drop(pipeline); // must drain, not deadlock or crash
+        assert_eq!(pipeline.stats(), drained);
+        assert_eq!(hook_calls.load(std::sync::atomic::Ordering::SeqCst), 3);
+        drop(pipeline);
     }
 
     #[test]
@@ -2545,31 +2031,25 @@ mod tests {
         let (strict_reports, strict_stats) = single(&strict);
         let (rich_reports, rich_stats) = single(&rich);
 
-        for double_buffer in [false, true] {
-            let mut multi = MultiPipeline::new(
-                vec![&strict, &rich],
-                PipelineConfig { double_buffer, ..config },
-            );
-            let mut reports = multi.extend(stream(40));
-            while let Some(r) = multi.flush() {
-                reports.push(r);
-            }
-            assert_eq!(multi.names(), vec!["threshold", "rich-threshold"]);
-            assert_eq!(reports.len(), strict_reports.len(), "db={double_buffer}");
-            for (w, multi_report) in reports.iter().enumerate() {
-                for (single_report, multi_detector_report) in [&strict_reports[w], &rich_reports[w]]
-                    .into_iter()
-                    .zip(multi_report.reports.iter())
-                {
-                    assert_eq!(multi_report.index, single_report.index);
-                    assert_eq!(multi_report.start, single_report.start);
-                    assert_eq!(single_report.judgements, multi_detector_report.judgements);
-                    assert_eq!(single_report.flagged, multi_detector_report.flagged);
-                    assert_eq!(single_report.relabel, multi_detector_report.relabel);
-                }
-            }
-            assert_eq!(multi.stats(), vec![strict_stats, rich_stats], "db={double_buffer}");
+        let mut multi = MultiPipeline::new(vec![&strict, &rich], config);
+        let mut reports = multi.extend(stream(40));
+        while let Some(r) = multi.flush() {
+            reports.push(r);
         }
+        assert_eq!(multi.names(), vec!["threshold", "rich-threshold"]);
+        assert_eq!(reports.len(), strict_reports.len());
+        for (w, multi_report) in reports.iter().enumerate() {
+            for (single_report, multi_detector_report) in
+                [&strict_reports[w], &rich_reports[w]].into_iter().zip(multi_report.reports.iter())
+            {
+                assert_eq!(multi_report.index, single_report.index);
+                assert_eq!(multi_report.start, single_report.start);
+                assert_eq!(single_report.judgements, multi_detector_report.judgements);
+                assert_eq!(single_report.flagged, multi_detector_report.flagged);
+                assert_eq!(single_report.relabel, multi_detector_report.relabel);
+            }
+        }
+        assert_eq!(multi.stats(), vec![strict_stats, rich_stats]);
     }
 
     #[test]
@@ -2718,15 +2198,14 @@ mod tests {
             }
             reports
         };
-        for (shards, double_buffer, selection) in [
-            (1, false, SelectionPolicy::RejectVote),
-            (2, false, SelectionPolicy::RejectVote),
-            (2, true, SelectionPolicy::CredibilityRank),
+        for (shards, selection) in [
+            (1, SelectionPolicy::RejectVote),
+            (2, SelectionPolicy::RejectVote),
+            (2, SelectionPolicy::CredibilityRank),
         ] {
             let pc = PipelineConfig {
                 window: 7,
                 shards,
-                double_buffer,
                 selection,
                 budget: RelabelBudget { fraction: 0.5, min_count: 1 },
                 ..Default::default()
@@ -2740,7 +2219,7 @@ mod tests {
                 assert_eq!((f.index, f.start), (ind.index, ind.start));
                 assert_eq!(f.reports.len(), ind.reports.len());
                 for (fr, ir) in f.reports.iter().zip(&ind.reports) {
-                    let mode = format!("shards {shards} db {double_buffer} {selection:?}");
+                    let mode = format!("shards {shards} {selection:?}");
                     assert_eq!(fr.judgements, ir.judgements, "judgements diverged: {mode}");
                     assert_eq!(fr.flagged, ir.flagged, "flagged diverged: {mode}");
                     assert_eq!(fr.relabel, ir.relabel, "relabel picks diverged: {mode}");

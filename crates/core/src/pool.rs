@@ -20,17 +20,13 @@
 //! chunks finished, never matters (`tests/pipeline_equivalence.rs` proves
 //! pool == scoped threads == sequential for every detector).
 //!
-//! # Cross-window scheduling
+//! # Concurrent callers
 //!
-//! Because all jobs flow through the one shared queue, the pool is a
-//! natural cross-window scheduler: when window N is down to a single
-//! straggler chunk, the workers that finished early immediately pull
-//! window N+1's chunks (submitted by the pipelines' double-buffered
-//! ingest, by a deeper [`crate::pipeline::PipelineConfig`] in-flight
-//! queue, or by a *different* producer thread — the pool is `Sync` and
-//! every entry point takes `&self`) instead of idling behind the
-//! straggler. Each submission drains its own completion channel, so
-//! concurrent windows never observe each other's results.
+//! The pool is `Sync` and every entry point takes `&self`, so several
+//! producer threads may judge windows through one pool at once: all jobs
+//! flow through the one shared queue, and each call drains its own
+//! completion channel, so concurrent windows never observe each other's
+//! results.
 //!
 //! # Panic hygiene
 //!
@@ -46,12 +42,9 @@
 //! Jobs reference caller data (`&F`, the window's samples, per-chunk
 //! output slots) across a channel, which requires erasing lifetimes. The
 //! discipline that keeps this sound is *completion-before-return*: every
-//! code path — normal, panicking job, dead worker — drains one completion
-//! message per submitted job before the borrowed data can go away.
-//! Synchronous calls ([`ShardPool::map`]) drain before returning; the
-//! asynchronous form ([`ShardPool::submit_judge`]) moves everything the
-//! jobs reference into the returned [`PendingJudge`], whose `collect` and
-//! `Drop` both drain.
+//! dispatch is synchronous, and every code path — normal, panicking job,
+//! dead worker — drains one completion message per submitted job before
+//! the call returns or unwinds, so the borrowed data outlives every job.
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -73,9 +66,9 @@ struct RawJob {
     ///
     /// # Safety
     ///
-    /// `f` must point at a live `F`, `out` at a live `Option<Vec<T>>`,
-    /// and `shard_ptr..shard_ptr+shard_len` at live `Sample`s, for the
-    /// types this trampoline was monomorphized over — upheld by the
+    /// `f` must point at a live `F`, `out` at a live `Option<T>`, and
+    /// `shard_ptr..shard_ptr+shard_len` at live `Sample`s, for the types
+    /// this trampoline was monomorphized over — upheld by the
     /// completion-before-return discipline in the module docs.
     run: unsafe fn(*const (), *const Sample, usize, *mut (), &mut JudgeScratch),
     f: *const (),
@@ -88,7 +81,10 @@ struct RawJob {
 // SAFETY: the raw pointers target data the submitting thread keeps alive
 // and does not touch until every job's completion message has been
 // received; the channel hand-off synchronizes the writes (mpsc send/recv
-// is release/acquire).
+// is release/acquire). `ShardPool::map_chunks`, the only place jobs are
+// built, requires `F: Sync` (workers share `&F`) and `T: Send` (a worker
+// writes the `T` the caller then owns); `Sample` is plain data, so shared
+// shard slices are `Sync`; `done` is a `Send` channel sender.
 unsafe impl Send for RawJob {}
 
 /// The monomorphized trampoline: runs `f` over the shard and stores the
@@ -104,13 +100,11 @@ unsafe fn run_shard<T, F>(
     out: *mut (),
     scratch: &mut JudgeScratch,
 ) where
-    F: Fn(&[Sample], &mut JudgeScratch) -> Vec<T>,
+    F: Fn(&[Sample], &mut JudgeScratch) -> T,
 {
     let f = &*(f as *const F);
     let shard = std::slice::from_raw_parts(shard_ptr, shard_len);
-    let result = f(shard, scratch);
-    assert_eq!(result.len(), shard.len(), "judge closure must return one result per sample");
-    *(out as *mut Option<Vec<T>>) = Some(result);
+    *(out as *mut Option<T>) = Some(f(shard, scratch));
 }
 
 /// A pool of persistent shard-worker threads, each owning one reusable
@@ -119,8 +113,8 @@ unsafe fn run_shard<T, F>(
 /// Build it once (per pipeline, per evaluation run, …) and judge any
 /// number of windows through it; see the module docs for the determinism
 /// and panic-hygiene guarantees. The pool is `Sync` and every entry point
-/// takes `&self`, so any number of producer threads may submit windows
-/// concurrently — the serving front-end leans on exactly this.
+/// takes `&self`, so any number of producer threads may judge windows
+/// through it concurrently.
 pub struct ShardPool {
     /// The shared job queue's send side; every worker holds a cloned
     /// receiver. Swapped for a closed dummy on drop to end the workers.
@@ -130,12 +124,12 @@ pub struct ShardPool {
     /// window would occupy only one worker anyway, dispatching it buys no
     /// parallelism and costs a cross-thread handoff (ruinous on a 1-CPU
     /// host, where it turns a pure function call into a thread ping-pong),
-    /// so [`ShardPool::map`] runs it inline with this long-lived scratch
+    /// so [`ShardPool::map_chunks`] runs it inline with this long-lived scratch
     /// instead. Same computation, same scratch reuse, zero handoff.
     inline_scratch: std::sync::Mutex<JudgeScratch>,
     /// Live dispatch counters, set at most once by
     /// [`ShardPool::attach_metrics`]; absent on an un-instrumented pool,
-    /// where [`ShardPool::dispatch`] skips metrics entirely.
+    /// where [`ShardPool::map_chunks`] skips metrics entirely.
     instruments: std::sync::OnceLock<PoolInstruments>,
 }
 
@@ -215,49 +209,16 @@ impl ShardPool {
         T: Send,
         F: Fn(&[Sample], &mut JudgeScratch) -> Vec<T> + Sync,
     {
-        if samples.is_empty() {
-            return Vec::new();
-        }
-        let (chunk, chunks) = self.chunking(samples.len());
-        if chunks == 1 {
-            // One chunk = no parallelism to gain: run inline with the
-            // pool's caller-side scratch (see `inline_scratch`). A prior
-            // panic may have poisoned the mutex; the scratch needs no
-            // repair (every judge path clears before reading), so take it
-            // anyway.
-            let mut scratch =
-                self.inline_scratch.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-            let out = f(samples, &mut scratch);
-            assert_eq!(out.len(), samples.len(), "judge closure must return one result per sample");
-            return out;
-        }
-        let mut outputs: Vec<Option<Vec<T>>> = Vec::new();
-        outputs.resize_with(chunks, || None);
-        let (done_tx, done_rx) = unbounded();
-
-        // SAFETY: `f` and `samples` live on this stack frame and
-        // `outputs` has one slot per chunk; the drain below completes
-        // before any of them can go away.
-        unsafe {
-            self.dispatch(
-                run_shard::<T, F>,
-                std::ptr::from_ref(&f).cast(),
-                samples,
-                chunk,
-                outputs.as_mut_ptr(),
-                &done_tx,
-            );
-        }
-        drop(done_tx);
-        let panic = drain(&done_rx, chunks);
-        // Every job has completed: the borrows of `f`, `samples`, and
-        // `outputs` have ended, so unwinding (or returning) is safe.
-        if let Some(payload) = panic {
-            resume_unwind(payload);
-        }
-        let mut stitched = Vec::with_capacity(samples.len());
-        for slot in &mut outputs {
-            stitched.extend(slot.take().expect("completed job must have written its slot"));
+        let chunks = self.map_chunks(samples, |shard, scratch| {
+            let out = f(shard, scratch);
+            assert_eq!(out.len(), shard.len(), "judge closure must return one result per sample");
+            out
+        });
+        let mut chunks = chunks.into_iter();
+        let mut stitched = chunks.next().unwrap_or_default();
+        stitched.reserve(samples.len() - stitched.len());
+        for chunk in chunks {
+            stitched.extend(chunk);
         }
         stitched
     }
@@ -296,158 +257,72 @@ impl ShardPool {
         }))
     }
 
-    /// Starts mapping `samples` through `f` on the pool **without
-    /// waiting** — the generic asynchronous form behind the pipelines'
-    /// double-buffered ingest (and the multi-detector fan-out, which
-    /// submits one such window per detector over a single shared sample
-    /// buffer). Returns a [`PendingResults`] that owns the workers'
-    /// output slots; judging proceeds on the workers while the caller
-    /// does other work, and [`PendingResults::collect`] blocks for the
-    /// stitched results.
-    ///
-    /// Unlike [`ShardPool::submit_judge`], the returned handle does
-    /// **not** own the samples: the jobs hold raw pointers into
-    /// `samples`' heap buffer.
-    ///
-    /// # Safety
-    ///
-    /// `f` must be `'static` in name only — it typically captures a
-    /// detector reference transmuted to `'static`. The caller must keep
-    /// everything the jobs reference alive and un-mutated until the
-    /// handle is collected or dropped (both drain every outstanding
-    /// job): the `samples` heap buffer (moving the `Vec` handle is fine;
-    /// dropping, clearing, or reallocating it is not) and whatever `f`'s
-    /// captures really borrow. The caller must also not defeat the drain
-    /// with `std::mem::forget` on the handle. Violating either is a data
-    /// race / use-after-free on a worker thread. `DeploymentPipeline`
-    /// and `MultiPipeline` uphold this by storing the handle(s) next to
-    /// the sample buffer they were made from, collecting before any
-    /// detector mutation (online relabel folding), and draining on drop.
-    pub unsafe fn submit_with<T, F>(&self, f: F, samples: &[Sample]) -> PendingResults<T>
+    /// The chunk-level map every entry point is built on: splits
+    /// `samples` into at most `workers()` contiguous `div_ceil` chunks,
+    /// runs `f` once per chunk, and returns one result per chunk, **in
+    /// chunk order** (no results for an empty window). A window that
+    /// would occupy a single chunk runs inline on the caller with the
+    /// pool's caller-side scratch; otherwise every chunk becomes one job
+    /// on the shared queue, and the call drains all of them before it
+    /// returns or re-raises a shard panic.
+    pub(crate) fn map_chunks<T, F>(&self, samples: &[Sample], f: F) -> Vec<T>
     where
-        T: Send + 'static,
-        F: Fn(&[Sample], &mut JudgeScratch) -> Vec<T> + Send + Sync + 'static,
+        T: Send,
+        F: Fn(&[Sample], &mut JudgeScratch) -> T + Sync,
     {
-        // Boxed so the closure lives on the heap: the jobs point at the
-        // heap closure, which stays put while the owning Box handle moves
-        // into the returned struct.
-        let f = Box::new(f);
-        let run = run_shard::<T, F>;
-        let f_ptr: *const () = std::ptr::from_ref(&*f).cast();
-
-        let (chunk, chunks) =
-            if samples.is_empty() { (1, 0) } else { self.chunking(samples.len()) };
-        let mut outputs: Vec<Option<Vec<T>>> = Vec::new();
-        outputs.resize_with(chunks, || None);
-        let (done_tx, done_rx) = unbounded();
-
-        // Pointers were taken before the Vec/Box containers move into the
-        // returned struct: moving a Vec or Box relocates only the handle,
-        // never the heap data the pointers target.
-        //
-        // SAFETY: the boxed closure and the outputs Vec move into (and
-        // are kept alive by) the returned PendingResults, whose
-        // collect/Drop drain every job; the samples buffer is kept alive
-        // by the caller (this function's contract).
-        unsafe {
-            self.dispatch(run, f_ptr, samples, chunk, outputs.as_mut_ptr(), &done_tx);
+        if samples.is_empty() {
+            return Vec::new();
         }
-        // Drop our sender so a vanished worker surfaces as a disconnect
-        // instead of a deadlock.
-        drop(done_tx);
-        PendingResults { len: samples.len(), outputs, done_rx, outstanding: chunks, _keep: f }
-    }
-
-    /// Starts judging `samples` on the pool **without waiting**: the
-    /// flat-judgement asynchronous form. Returns a [`PendingJudge`] that
-    /// owns the window; judging proceeds on the workers while the caller
-    /// does other work (fills the next window), and
-    /// [`PendingJudge::collect`] blocks for the stitched judgements.
-    ///
-    /// # Safety
-    ///
-    /// The detector reference is erased to `'static` for the workers, and
-    /// the returned handle carries no lifetime tying it to the borrow.
-    /// The caller must keep the detector alive — and **un-mutated** —
-    /// until the handle is collected or dropped (both drain every
-    /// outstanding job), and must not defeat that drain with
-    /// `std::mem::forget` on the handle. Dropping the detector first (or
-    /// mutating it mid-flight) is a data race / use-after-free on a
-    /// worker thread. The deployment pipelines uphold this by storing the
-    /// handle next to the detector borrow it was made from, collecting
-    /// before any mutation (online relabel folding), and draining on
-    /// drop.
-    pub unsafe fn submit_judge(
-        &self,
-        detector: &dyn DriftDetector,
-        samples: Vec<Sample>,
-    ) -> PendingJudge {
-        // SAFETY: lifetime erasure only — the caller contract above
-        // guarantees the reference never outlives (and is never mutated
-        // during) the jobs that use it.
-        let detector: &'static dyn DriftDetector = unsafe { std::mem::transmute(detector) };
-        // SAFETY: the samples Vec moves into the returned PendingJudge
-        // alongside the results handle (handle first, so it drains before
-        // the buffer drops), satisfying submit_with's keep-alive contract.
-        let results = unsafe {
-            self.submit_with(
-                move |shard: &[Sample], scratch: &mut JudgeScratch| {
-                    detector.judge_batch_scratch(shard, scratch)
-                },
-                &samples,
-            )
-        };
-        PendingJudge { results, samples }
-    }
-
-    /// The chunk geometry both entry points share: contiguous `div_ceil`
-    /// chunks, at most one per worker, each at least one sample.
-    /// Returns `(chunk_size, chunk_count)`; `len` must be non-zero.
-    fn chunking(&self, len: usize) -> (usize, usize) {
-        let chunk = len.div_ceil(self.workers.len().min(len));
+        let chunk = samples.len().div_ceil(self.workers.len().min(samples.len()));
         // The ceil division can need fewer chunks than workers; the
         // output slots and completion drain are sized by the real count.
-        (chunk, len.div_ceil(chunk))
-    }
-
-    /// Sends one [`RawJob`] per chunk of `samples` into the shared job
-    /// queue — chunk `i` writes output slot `i`, whichever worker pulls
-    /// it — the single dispatch loop behind both the synchronous and
-    /// asynchronous entry points.
-    ///
-    /// # Safety
-    ///
-    /// `f_ptr` must point at a live `F` and `out_base` at
-    /// `len.div_ceil(chunk)` live `Option<Vec<T>>` slots, for the `T`/`F`
-    /// that `run` was monomorphized over; both (and `samples`' heap data)
-    /// must stay alive and untouched until one completion message per
-    /// dispatched job has been received from the paired receiver.
-    unsafe fn dispatch<T>(
-        &self,
-        run: unsafe fn(*const (), *const Sample, usize, *mut (), &mut JudgeScratch),
-        f_ptr: *const (),
-        samples: &[Sample],
-        chunk: usize,
-        out_base: *mut Option<Vec<T>>,
-        done_tx: &Sender<Result<(), PanicPayload>>,
-    ) {
-        for (i, shard) in samples.chunks(chunk).enumerate() {
+        let chunks = samples.len().div_ceil(chunk);
+        if chunks == 1 {
+            // One chunk = no parallelism to gain: run inline with the
+            // pool's caller-side scratch (see `inline_scratch`). A prior
+            // panic may have poisoned the mutex; the scratch needs no
+            // repair (every judge path clears before reading), so take it
+            // anyway.
+            let mut scratch =
+                self.inline_scratch.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+            return vec![f(samples, &mut scratch)];
+        }
+        let mut outputs: Vec<Option<T>> = Vec::new();
+        outputs.resize_with(chunks, || None);
+        let (done_tx, done_rx) = unbounded();
+        // The jobs borrow `f`, `samples` and `outputs` through raw
+        // pointers; the drain below keeps all three alive until every job
+        // has completed. Chunk `i` writes output slot `i`, whichever
+        // worker pulls it.
+        let f_ptr: *const () = std::ptr::from_ref(&f).cast();
+        for (shard, out) in samples.chunks(chunk).zip(outputs.iter_mut()) {
             let job = RawJob {
-                run,
+                run: run_shard::<T, F>,
                 f: f_ptr,
                 shard_ptr: shard.as_ptr(),
                 shard_len: shard.len(),
-                // SAFETY: `i < len.div_ceil(chunk)`, the slot count the
-                // caller guarantees; slots are disjoint per job.
-                out: unsafe { out_base.add(i) }.cast(),
+                out: std::ptr::from_mut(out).cast(),
                 done: done_tx.clone(),
             };
             self.injector.send(job).expect("shard workers hung up");
         }
         if let Some(live) = self.instruments.get() {
             live.windows.inc();
-            live.jobs.add(samples.len().div_ceil(chunk) as u64);
+            live.jobs.add(chunks as u64);
         }
+        // Drop our sender so a vanished worker surfaces as a disconnect
+        // instead of a deadlock.
+        drop(done_tx);
+        let panic = drain(&done_rx, chunks);
+        // Every job has completed: the borrows of `f`, `samples`, and
+        // `outputs` have ended, so unwinding (or returning) is safe.
+        if let Some(payload) = panic {
+            resume_unwind(payload);
+        }
+        outputs
+            .into_iter()
+            .map(|slot| slot.expect("completed job must have written its slot"))
+            .collect()
     }
 }
 
@@ -463,103 +338,6 @@ impl Drop for ShardPool {
             // somehow did, dropping the pool must not double-panic.
             let _ = thread.join();
         }
-    }
-}
-
-/// One in-flight asynchronously mapped window (see
-/// [`ShardPool::submit_with`]). Owns the workers' output slots and the
-/// type-erased closure — but **not** the window's samples, which the
-/// submitting caller must keep alive (that is what lets the
-/// multi-detector fan-out share one sample buffer across N handles).
-/// Dropping it without collecting still drains every outstanding job
-/// (discarding the results).
-pub struct PendingResults<T> {
-    len: usize,
-    outputs: Vec<Option<Vec<T>>>,
-    done_rx: Receiver<Result<(), PanicPayload>>,
-    outstanding: usize,
-    /// Keeps the type-erased job closure (and with it whatever erased
-    /// references it captured) alive until every job has drained.
-    _keep: Box<dyn Any + Send + Sync>,
-}
-
-impl<T> PendingResults<T> {
-    /// Number of samples in the window being mapped.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the submitted window was empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Blocks until every shard job has completed and returns the
-    /// stitched results (bit-identical to running the closure over the
-    /// whole window sequentially).
-    ///
-    /// # Panics
-    ///
-    /// Re-raises (on this thread) the panic of any shard job — after all
-    /// jobs have drained, so the pool and the caller's state stay
-    /// consistent.
-    pub fn collect(mut self) -> Vec<T> {
-        let panic = drain(&self.done_rx, std::mem::take(&mut self.outstanding));
-        if let Some(payload) = panic {
-            resume_unwind(payload);
-        }
-        self.outputs
-            .iter_mut()
-            .flat_map(|slot| slot.take().expect("completed job must have written its slot"))
-            .collect()
-    }
-}
-
-impl<T> Drop for PendingResults<T> {
-    fn drop(&mut self) {
-        // `collect` zeroes `outstanding`; an uncollected handle drains
-        // here so the borrows the jobs hold end before the owner goes
-        // away. Panic payloads are discarded — dropping the handle is
-        // the caller abandoning the window.
-        let _ = drain(&self.done_rx, self.outstanding);
-        self.outstanding = 0;
-    }
-}
-
-/// One in-flight asynchronously judged window (see
-/// [`ShardPool::submit_judge`]): a [`PendingResults`] that additionally
-/// owns the window's samples, so the flat single-detector caller has
-/// nothing to keep alive itself.
-pub struct PendingJudge {
-    // Field order matters for `Drop`: the results handle drains its jobs
-    // (which point into `samples`' heap buffer) before the buffer drops.
-    results: PendingResults<Judgement>,
-    samples: Vec<Sample>,
-}
-
-impl PendingJudge {
-    /// Number of samples in the window being judged.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether the submitted window was empty.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Blocks until every shard job has completed and returns the
-    /// window's samples together with the stitched judgements
-    /// (bit-identical to `judge_batch` over the samples).
-    ///
-    /// # Panics
-    ///
-    /// Re-raises (on this thread) the panic of any shard job — after all
-    /// jobs have drained, so the pool and the caller's state stay
-    /// consistent.
-    pub fn collect(self) -> (Vec<Sample>, Vec<Judgement>) {
-        let judgements = self.results.collect();
-        (self.samples, judgements)
     }
 }
 
@@ -672,31 +450,6 @@ mod tests {
     }
 
     #[test]
-    fn submit_then_collect_matches_sequential() {
-        let det = Trip;
-        let pool = ShardPool::new(4);
-        let samples = stream(37);
-        let expected = det.judge_batch(&samples);
-        // SAFETY: `det` outlives the handle, which is collected below.
-        let pending = unsafe { pool.submit_judge(&det, samples.clone()) };
-        assert_eq!(pending.len(), 37);
-        let (returned, judgements) = pending.collect();
-        assert_eq!(returned, samples);
-        assert_eq!(judgements, expected);
-    }
-
-    #[test]
-    fn dropping_a_pending_window_drains_without_hanging() {
-        let det = Trip;
-        let pool = ShardPool::new(2);
-        // SAFETY: `det` outlives the handle, which drains on drop.
-        let pending = unsafe { pool.submit_judge(&det, stream(20)) };
-        drop(pending);
-        // Workers are still healthy afterwards.
-        assert_eq!(pool.judge(&det, &stream(6)), det.judge_batch(&stream(6)));
-    }
-
-    #[test]
     fn worker_panic_surfaces_on_caller_and_pool_survives() {
         let det = Trip;
         let pool = ShardPool::new(3);
@@ -745,37 +498,15 @@ mod tests {
     }
 
     #[test]
-    fn overlapping_async_windows_collect_independently() {
-        // Submit several windows before collecting any — the shared queue
-        // interleaves their chunks across the workers, but each handle
-        // stitches only its own slots.
-        let det = Trip;
-        let pool = ShardPool::new(2);
-        let windows: Vec<Vec<Sample>> = (0..5).map(|w| stream(17 + w * 5)).collect();
-        let expected: Vec<Vec<Judgement>> = windows.iter().map(|w| det.judge_batch(w)).collect();
-        // SAFETY: `det` outlives every handle; all are collected below.
-        let pending: Vec<PendingJudge> =
-            windows.iter().map(|w| unsafe { pool.submit_judge(&det, w.clone()) }).collect();
-        for (pending, (window, expected)) in pending.into_iter().zip(windows.iter().zip(&expected))
-        {
-            let (returned, judgements) = pending.collect();
-            assert_eq!(&returned, window);
-            assert_eq!(&judgements, expected);
-        }
-    }
-
-    #[test]
-    fn async_panic_surfaces_at_collect_not_submit() {
-        let det = Trip;
-        let pool = ShardPool::new(2);
-        let mut poisoned = stream(8);
-        poisoned[0].embedding[0] = -2.0;
-        // SAFETY: `det` outlives the handle, which is collected below.
-        let pending = unsafe { pool.submit_judge(&det, poisoned) };
-        let err = std::panic::catch_unwind(AssertUnwindSafe(|| pending.collect()))
-            .expect_err("collect must re-raise the shard panic");
-        drop(err);
-        // And the pool keeps serving.
-        assert_eq!(pool.judge(&det, &stream(4)), det.judge_batch(&stream(4)));
+    fn map_chunks_returns_one_result_per_chunk_in_chunk_order() {
+        let pool = ShardPool::new(3);
+        let first = |shard: &[Sample], _: &mut JudgeScratch| shard[0].embedding[0] as usize;
+        // 10 samples over 3 workers: chunks of 4, 4 and 2.
+        assert_eq!(pool.map_chunks(&stream(10), first), vec![0, 4, 8]);
+        // A window smaller than the pool uses fewer chunks; a one-sample
+        // window runs inline as a single chunk.
+        assert_eq!(pool.map_chunks(&stream(2), first), vec![0, 1]);
+        assert_eq!(pool.map_chunks(&stream(1), first), vec![0]);
+        assert!(pool.map_chunks(&[], first).is_empty());
     }
 }

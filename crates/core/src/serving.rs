@@ -19,9 +19,8 @@
 //! * **One collator thread** drains the queue in arrival order and runs
 //!   the pipeline exactly as a synchronous caller would: windows form
 //!   serving-side, in admission order. Everything downstream — shard
-//!   fan-out, double-buffered overlap, deeper
-//!   [`PipelineConfig::in_flight_windows`] queues, relabel selection,
-//!   online calibration folding — is the ordinary pipeline machinery.
+//!   fan-out, relabel selection, online calibration folding — is the
+//!   ordinary pipeline machinery.
 //! * **Latency** is recorded per sample on a monotonic clock
 //!   ([`std::time::Instant`]): stamped at **admission** — inside the
 //!   queue-slot handoff, after any backpressure wait — settled when the
@@ -70,8 +69,8 @@ pub use crate::metrics::{LatencyHistogram, LatencySummary};
 #[derive(Debug, Clone)]
 pub struct ServingConfig {
     /// The pipeline behind the admission queue — window size, shards,
-    /// relabel budget, calibration policy, double-buffering and in-flight
-    /// depth all apply unchanged.
+    /// relabel budget, selection and calibration policy all apply
+    /// unchanged.
     pub pipeline: PipelineConfig,
     /// Admission queue capacity in samples — must be at least 1
     /// ([`ServingFrontEnd::new`] rejects 0 outright rather than silently
@@ -237,8 +236,7 @@ struct ServingInstruments {
     /// [`ServingOutcome::latency`], live.
     latency: Arc<Histogram>,
     /// `prom_serving_window_judge_ns` — collator time inside the
-    /// pipeline call that produced a window report (includes any wait on
-    /// in-flight windows when double-buffering).
+    /// pipeline call that produced a window report.
     window_judge: Arc<Histogram>,
 }
 
@@ -597,11 +595,9 @@ fn collate<E: Engine>(
             reports.push(report);
         }
     }
-    // Every producer handle is gone: drain the in-flight windows and the
-    // partial tail, oldest first.
-    loop {
-        let flushed_at = instruments.map(|_| Instant::now());
-        let Some(report) = engine.flush() else { break };
+    // Every producer handle is gone: judge the partial tail.
+    let flushed_at = instruments.map(|_| Instant::now());
+    if let Some(report) = engine.flush() {
         if let (Some(live), Some(at)) = (instruments, flushed_at) {
             live.window_judge.record(at.elapsed());
         }
@@ -682,12 +678,7 @@ mod tests {
     fn concurrent_producers_judge_every_admitted_sample_exactly_once() {
         let det = Slowpoke { delay: Duration::ZERO };
         let front = ServingFrontEnd::new(ServingConfig {
-            pipeline: PipelineConfig {
-                window: 16,
-                shards: 2,
-                double_buffer: true,
-                ..Default::default()
-            },
+            pipeline: PipelineConfig { window: 16, shards: 2, ..Default::default() },
             queue: 8,
             record_admitted: true,
             metrics: None,

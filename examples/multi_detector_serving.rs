@@ -9,9 +9,8 @@
 //! 1. fit Prom, naive CP, TESSERACT-style, and RISE-style detectors from
 //!    one in-distribution calibration split;
 //! 2. stream everything through **one online [`MultiPipeline`]**: each
-//!    window is ingested once and fanned out to all four detectors as
-//!    independent jobs on one shared shard pool, overlapped with ingest
-//!    (`double_buffer: true`) — before this mode, comparing N detectors
+//!    window is ingested once and judged for all four detectors in one
+//!    dispatch on one shared shard pool — before this mode, comparing N detectors
 //!    meant replaying the stream N times and re-paying the shared
 //!    feature/forward pass each replay;
 //! 3. the relabeling budget is **shared** (`.shared_budget(0)` — Prom is
@@ -97,7 +96,6 @@ fn main() {
             window: WINDOW,
             selection: SelectionPolicy::CredibilityRank,
             policy: CalibrationPolicy::Reservoir { cap: RESERVOIR_CAP, seed: 0 },
-            double_buffer: true,
             ..Default::default()
         },
         move |global, _s| Some(Truth::Label(sample_at(global, total).1)),
