@@ -9,10 +9,13 @@
 //! cloneable (**multi-producer, multi-consumer**, which the shard pool's
 //! shared worker queue and the serving front-end's many producer handles
 //! both need) and a capacity bound turns `send` into a blocking
-//! backpressure point with a non-blocking `try_send` escape. Two
-//! divergences from real crossbeam, neither used by the workspace:
-//! rendezvous channels (`bounded(0)`) are not supported, and `select!`
-//! does not exist.
+//! backpressure point with a non-blocking `try_send` escape. Each side
+//! counts its parked threads under the lock and signals a condition only
+//! when someone waits on it, so an uncontended send or receive makes no
+//! wake-up syscall. [`channel::Receiver::recv_batch`] (not in real
+//! crossbeam) drains many values under one lock. Two divergences from
+//! real crossbeam, neither used by the workspace: rendezvous channels
+//! (`bounded(0)`) are not supported, and `select!` does not exist.
 
 #![warn(missing_docs)]
 
@@ -88,14 +91,20 @@ pub mod channel {
         capacity: Option<usize>,
         senders: usize,
         receivers: usize,
+        /// Senders waiting on `not_full` right now.
+        parked_senders: usize,
+        /// Receivers waiting on `not_empty` right now.
+        parked_receivers: usize,
     }
 
     /// One channel: the locked state and the two wait conditions.
     struct Shared<T> {
         inner: Mutex<Inner<T>>,
-        /// Signalled on every enqueue and on last-sender drop.
+        /// Signalled on an enqueue that a parked receiver waits for, and
+        /// on last-sender drop.
         not_empty: Condvar,
-        /// Signalled on every dequeue and on last-receiver drop.
+        /// Signalled on a dequeue that a parked sender waits for, and on
+        /// last-receiver drop.
         not_full: Condvar,
     }
 
@@ -107,6 +116,50 @@ pub mod channel {
         /// never panic while holding this lock in the first place).
         fn lock(&self) -> MutexGuard<'_, Inner<T>> {
             self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+        }
+
+        /// Parks a sender on `not_full` until signalled.
+        fn park_sender<'a>(&self, mut inner: MutexGuard<'a, Inner<T>>) -> MutexGuard<'a, Inner<T>> {
+            inner.parked_senders += 1;
+            let mut inner = self.not_full.wait(inner).unwrap_or_else(PoisonError::into_inner);
+            inner.parked_senders -= 1;
+            inner
+        }
+
+        /// Parks a receiver on `not_empty` until signalled.
+        fn park_receiver<'a>(
+            &self,
+            mut inner: MutexGuard<'a, Inner<T>>,
+        ) -> MutexGuard<'a, Inner<T>> {
+            inner.parked_receivers += 1;
+            let mut inner = self.not_empty.wait(inner).unwrap_or_else(PoisonError::into_inner);
+            inner.parked_receivers -= 1;
+            inner
+        }
+
+        /// Enqueues under the held lock, then wakes one parked receiver if
+        /// there is one. A receiver counts itself parked under the lock
+        /// before it waits, so a zero count means nobody can miss this
+        /// value.
+        fn push(&self, mut inner: MutexGuard<'_, Inner<T>>, value: T) {
+            inner.queue.push_back(value);
+            let wake = inner.parked_receivers > 0;
+            drop(inner);
+            if wake {
+                self.not_empty.notify_one();
+            }
+        }
+
+        /// Releases the lock after `freed` dequeues and wakes parked
+        /// senders, if any: one per freed slot, in a single call.
+        fn freed(&self, inner: MutexGuard<'_, Inner<T>>, freed: usize) {
+            let parked = inner.parked_senders;
+            drop(inner);
+            match (parked, freed) {
+                (0, _) | (_, 0) => {}
+                (_, 1) => self.not_full.notify_one(),
+                _ => self.not_full.notify_all(),
+            }
         }
     }
 
@@ -154,16 +207,10 @@ pub mod channel {
                 }
                 match inner.capacity {
                     Some(cap) if inner.queue.len() >= cap => {
-                        inner = self
-                            .shared
-                            .not_full
-                            .wait(inner)
-                            .unwrap_or_else(PoisonError::into_inner);
+                        inner = self.shared.park_sender(inner);
                     }
                     _ => {
-                        inner.queue.push_back(value);
-                        drop(inner);
-                        self.shared.not_empty.notify_one();
+                        self.shared.push(inner, value);
                         return Ok(());
                     }
                 }
@@ -190,16 +237,10 @@ pub mod channel {
                 }
                 match inner.capacity {
                     Some(cap) if inner.queue.len() >= cap => {
-                        inner = self
-                            .shared
-                            .not_full
-                            .wait(inner)
-                            .unwrap_or_else(PoisonError::into_inner);
+                        inner = self.shared.park_sender(inner);
                     }
                     _ => {
-                        inner.queue.push_back(make());
-                        drop(inner);
-                        self.shared.not_empty.notify_one();
+                        self.shared.push(inner, make());
                         return Ok(());
                     }
                 }
@@ -215,16 +256,14 @@ pub mod channel {
         /// [`Sender::send`]), [`TrySendError::Disconnected`] when every
         /// receiver is gone.
         pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-            let mut inner = self.shared.lock();
+            let inner = self.shared.lock();
             if inner.receivers == 0 {
                 return Err(TrySendError::Disconnected(value));
             }
             match inner.capacity {
                 Some(cap) if inner.queue.len() >= cap => Err(TrySendError::Full(value)),
                 _ => {
-                    inner.queue.push_back(value);
-                    drop(inner);
-                    self.shared.not_empty.notify_one();
+                    self.shared.push(inner, value);
                     Ok(())
                 }
             }
@@ -281,14 +320,43 @@ pub mod channel {
             let mut inner = self.shared.lock();
             loop {
                 if let Some(value) = inner.queue.pop_front() {
-                    drop(inner);
-                    self.shared.not_full.notify_one();
+                    self.shared.freed(inner, 1);
                     return Ok(value);
                 }
                 if inner.senders == 0 {
                     return Err(RecvError);
                 }
-                inner = self.shared.not_empty.wait(inner).unwrap_or_else(PoisonError::into_inner);
+                inner = self.shared.park_receiver(inner);
+            }
+        }
+
+        /// Blocks until a value arrives, then moves it and up to `max - 1`
+        /// more queued values onto the back of `out` under one lock, and
+        /// wakes blocked senders once. Returns how many values moved
+        /// (`1..=max`).
+        ///
+        /// # Errors
+        ///
+        /// Returns [`RecvError`] when every sender has been dropped and
+        /// the queue is drained, exactly as [`Receiver::recv`].
+        ///
+        /// # Panics
+        ///
+        /// Panics when `max` is 0.
+        pub fn recv_batch(&self, out: &mut VecDeque<T>, max: usize) -> Result<usize, RecvError> {
+            assert!(max >= 1, "recv_batch needs max >= 1");
+            let mut inner = self.shared.lock();
+            loop {
+                if !inner.queue.is_empty() {
+                    let moved = max.min(inner.queue.len());
+                    out.extend(inner.queue.drain(..moved));
+                    self.shared.freed(inner, moved);
+                    return Ok(moved);
+                }
+                if inner.senders == 0 {
+                    return Err(RecvError);
+                }
+                inner = self.shared.park_receiver(inner);
             }
         }
 
@@ -302,8 +370,7 @@ pub mod channel {
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
             let mut inner = self.shared.lock();
             if let Some(value) = inner.queue.pop_front() {
-                drop(inner);
-                self.shared.not_full.notify_one();
+                self.shared.freed(inner, 1);
                 return Ok(value);
             }
             if inner.senders == 0 {
@@ -327,11 +394,33 @@ pub mod channel {
         pub fn is_empty(&self) -> bool {
             self.len() == 0
         }
+
+        /// Blocks until `senders` senders and `receivers` receivers are
+        /// parked at once, so a test can act only after the threads it
+        /// wakes are really waiting.
+        #[cfg(test)]
+        pub(crate) fn wait_parked(&self, senders: usize, receivers: usize) {
+            loop {
+                let inner = self.shared.lock();
+                if inner.parked_senders == senders && inner.parked_receivers == receivers {
+                    return;
+                }
+                drop(inner);
+                std::thread::yield_now();
+            }
+        }
     }
 
     fn with_capacity<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
         let shared = Arc::new(Shared {
-            inner: Mutex::new(Inner { queue: VecDeque::new(), capacity, senders: 1, receivers: 1 }),
+            inner: Mutex::new(Inner {
+                queue: VecDeque::new(),
+                capacity,
+                senders: 1,
+                receivers: 1,
+                parked_senders: 0,
+                parked_receivers: 0,
+            }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
         });
@@ -359,7 +448,7 @@ pub mod channel {
 
 #[cfg(test)]
 mod tests {
-    use super::channel::{bounded, unbounded, TryRecvError, TrySendError};
+    use super::channel::{bounded, unbounded, RecvError, TryRecvError, TrySendError};
 
     #[test]
     fn unbounded_channel_delivers_in_order_across_threads() {
@@ -542,6 +631,89 @@ mod tests {
             let seq: Vec<u32> = got.iter().filter(|(s, _)| *s == source).map(|&(_, i)| i).collect();
             assert_eq!(seq, (0..200).collect::<Vec<_>>(), "producer {source} order");
         }
+    }
+
+    #[test]
+    fn recv_batch_moves_values_in_fifo_order_up_to_max() {
+        use std::collections::VecDeque;
+        let (tx, rx) = unbounded::<u32>();
+        for i in 0..10 {
+            tx.send(i).unwrap();
+        }
+        let mut out = VecDeque::from([99]);
+        assert_eq!(rx.recv_batch(&mut out, 4), Ok(4), "the max caps one drain");
+        assert_eq!(out, [99, 0, 1, 2, 3], "values append after what `out` held, in order");
+        assert_eq!(rx.len(), 6);
+        out.clear();
+        assert_eq!(rx.recv_batch(&mut out, 100), Ok(6), "a drain takes what is queued");
+        assert_eq!(out, [4, 5, 6, 7, 8, 9]);
+    }
+
+    #[test]
+    fn recv_batch_reports_disconnect_only_after_the_drain() {
+        use std::collections::VecDeque;
+        let (tx, rx) = bounded::<u8>(4);
+        tx.send(1).unwrap();
+        tx.send(2).unwrap();
+        drop(tx);
+        let mut out = VecDeque::new();
+        assert_eq!(rx.recv_batch(&mut out, 8), Ok(2), "queued values outlive the senders");
+        assert_eq!(out, [1, 2]);
+        assert_eq!(rx.recv_batch(&mut out, 8), Err(RecvError));
+        assert_eq!(out.len(), 2, "a failed drain moves nothing");
+    }
+
+    #[test]
+    fn recv_batch_blocks_until_a_value_arrives() {
+        use std::collections::VecDeque;
+        let (tx, rx) = unbounded::<u8>();
+        std::thread::scope(|s| {
+            let receiver = s.spawn(|| {
+                let mut out = VecDeque::new();
+                let moved = rx.recv_batch(&mut out, 8);
+                (moved, out)
+            });
+            rx.wait_parked(0, 1);
+            tx.send(5).unwrap();
+            let (moved, out) = receiver.join().unwrap();
+            assert_eq!(moved, Ok(1));
+            assert_eq!(out, [5]);
+        });
+    }
+
+    #[test]
+    fn recv_batch_wakes_senders_blocked_on_a_full_queue() {
+        use std::collections::VecDeque;
+        let (tx, rx) = bounded::<u32>(2);
+        tx.send(0).unwrap();
+        tx.send(1).unwrap();
+        let senders: Vec<_> = (2..4)
+            .map(|i| {
+                let tx = tx.clone();
+                // Both block: the queue is full.
+                std::thread::spawn(move || tx.send(i).unwrap())
+            })
+            .collect();
+        drop(tx);
+        rx.wait_parked(2, 0);
+        let mut out = VecDeque::new();
+        assert_eq!(rx.recv_batch(&mut out, 2), Ok(2), "one drain frees both slots");
+        // Both parked senders must complete; a single wake-up for two
+        // freed slots would strand one of them and hang this join.
+        for sender in senders {
+            sender.join().unwrap();
+        }
+        while rx.recv_batch(&mut out, 8).is_ok() {}
+        let mut got: Vec<u32> = out.into_iter().collect();
+        got.sort_unstable();
+        assert_eq!(got, [0, 1, 2, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "max >= 1")]
+    fn recv_batch_rejects_a_zero_max() {
+        let (_tx, rx) = unbounded::<u8>();
+        let _ = rx.recv_batch(&mut std::collections::VecDeque::new(), 0);
     }
 
     #[test]

@@ -14,7 +14,12 @@
 //!   same stores;
 //! * `select/*` — the end-to-end `ScoringKernel::select` plus the Eq. 2
 //!   p-value pass it feeds, at 100k records, on the partition path
-//!   (keep 50%) and the norm-bound pruned filtered scan (keep 10%).
+//!   (keep 50%) and the norm-bound pruned filtered scan (keep 10%), and
+//!   at 4k records × 8 dims with keep 50% — the calibration shape of the
+//!   `largecal-stream` benchmark workload;
+//! * `select_from_block_8q/*` — the batched judging shape of that
+//!   workload: one blocked distance pass for 8 queries, then per query a
+//!   `select_from_block` and the p-value passes of a 4-expert committee.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -62,7 +67,7 @@ fn bench_kernel(c: &mut Criterion) {
             let rows: Vec<Vec<f64>> = flat.chunks_exact(dim).map(<[f64]>::to_vec).collect();
             let q = query(dim);
             // Both passes fill a distance buffer, exactly like the kernel
-            // fills `scratch.dist` — accumulating into one running sum
+            // fills its distance row — accumulating into one running sum
             // instead would serialize every record behind a loop-carried
             // FP add and measure that chain, not the distance pass.
             let mut out = vec![0.0f64; n];
@@ -156,6 +161,60 @@ fn bench_kernel(c: &mut Criterion) {
             })
         });
     }
+
+    // The `largecal-stream` shape: 4,096 records × 8 dims, 4 labels,
+    // keep 50%, so the threshold select and the Eq. 1 weights dominate.
+    let (n, dim) = (4_096, 8);
+    let flat = store(n, dim);
+    let labels: Vec<usize> = (0..n).map(|i| i % 4).collect();
+    let experts: Vec<Vec<f64>> = (0..4)
+        .map(|e| (0..n).map(|i| 0.1 + ((i * (13 + e) % 97) as f64 / 97.0)).collect())
+        .collect();
+    let kernel = ScoringKernel::new(
+        flat.chunks_exact(dim).map(<[f64]>::to_vec).collect(),
+        labels,
+        4,
+        experts,
+        SelectionConfig { fraction: 0.5, min_full_size: 1, tau: 20.0 },
+    );
+    assert!(!kernel.uses_pruned_path());
+    let q = query(dim);
+    let mut scratch = JudgeScratch::new();
+    group.bench_function("select/partition_50pct_4kx8", |b| {
+        b.iter(|| {
+            kernel.select(&q, &mut scratch);
+            scratch.test_scores.clear();
+            scratch.test_scores.extend_from_slice(&[0.3, 0.5, 0.7, 0.9]);
+            kernel.p_values_into(0, &mut scratch);
+            std::hint::black_box(scratch.p_values[0])
+        })
+    });
+    let block: Vec<Vec<f64>> = (0..8)
+        .map(|j| {
+            let mut one = query(dim);
+            for (d, x) in one.iter_mut().enumerate() {
+                *x += ((j * 5 + d) as f64 * 0.21).sin();
+            }
+            one
+        })
+        .collect();
+    let refs: Vec<&[f64]> = block.iter().map(Vec::as_slice).collect();
+    group.bench_function("select_from_block_8q/partition_50pct_4kx8_4experts", |b| {
+        b.iter(|| {
+            kernel.distance_block(&refs, &mut scratch);
+            let mut sum = 0.0;
+            for (j, one) in block.iter().enumerate() {
+                kernel.select_from_block(j, one, &mut scratch);
+                for e in 0..kernel.n_experts() {
+                    scratch.test_scores.clear();
+                    scratch.test_scores.extend_from_slice(&[0.3, 0.5, 0.7, 0.9]);
+                    kernel.p_values_into(e, &mut scratch);
+                    sum += scratch.p_values[0];
+                }
+            }
+            std::hint::black_box(sum)
+        })
+    });
 
     group.finish();
 }

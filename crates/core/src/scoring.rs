@@ -23,6 +23,7 @@
 use crate::calibration::{CalibrationRecord, SelectionConfig};
 use crate::nonconformity::{Nonconformity, RankMassTable};
 use prom_ml::matrix::{l2_distance_sq, l2_distance_sq_bounded, l2_distances_sq_block, l2_norm_sq};
+use std::ops::Range;
 
 /// Per-label calibration nonconformity scores, sorted ascending at
 /// construction for binary-search p-values.
@@ -245,23 +246,31 @@ impl ScoreTable {
 /// per-sample allocation.
 #[derive(Debug, Default)]
 pub struct JudgeScratch {
-    /// (squared distance, record index); after [`ScoringKernel::select`]
-    /// this holds every calibration record on the partition path, or only
-    /// the kept subset (partition-scrambled) on the pruned path.
+    /// (squared distance, record index) candidates of the pruned path;
+    /// after [`ScoringKernel::select`] takes that path, exactly the kept
+    /// set (partition-scrambled).
     dist: Vec<(f64, u32)>,
     /// Query-major squared-distance block (`queries × n_records`) filled by
     /// [`ScoringKernel::distance_block`] for the batched judging paths.
     block: Vec<f64>,
     /// The query block gathered contiguously for the blocked distance pass.
     block_queries: Vec<f64>,
-    /// The test embedding last passed to [`ScoringKernel::select`] — kept
-    /// for [`ScoringKernel::nearest`]'s rare `k > keep` fallback, which
-    /// must recompute distances the pruned path never materialized.
+    /// The squared-distance row of the last single-query partition-path
+    /// [`ScoringKernel::select`].
+    row: Vec<f64>,
+    /// Where the last selection left its distances, for
+    /// [`ScoringKernel::nearest`].
+    last: LastSelection,
+    /// Selection keys of the partition path, scrambled by the threshold
+    /// select.
+    keys: Vec<u64>,
+    /// The test embedding last passed to [`ScoringKernel::select`] on the
+    /// pruned path — kept for [`ScoringKernel::nearest`]'s rare `k > keep`
+    /// fallback, which must recompute distances that path never
+    /// materialized.
     query: Vec<f64>,
-    /// (record index, Eq. 1 weight) of the selected subset.
-    selected: Vec<(u32, f64)>,
-    /// Positions into `selected`, grouped by calibration label.
-    by_label: Vec<Vec<u32>>,
+    /// The kept records of the last selection, grouped by label.
+    kept: Kept,
     /// Per-label test nonconformity scores; filled by the caller before
     /// [`ScoringKernel::p_values_into`].
     pub test_scores: Vec<f64>,
@@ -274,6 +283,42 @@ pub struct JudgeScratch {
     /// here so the one scratch a persistent shard worker owns covers the
     /// regression path's neighbour buffer too.
     pub neighbours: Vec<usize>,
+}
+
+/// The kept records of a selection, grouped by label: label `y`'s kept
+/// record indices are `records[runs[y]]`, with their Eq. 1 weights at the
+/// same positions of `weights`. Each label owns a region as long as its
+/// record list, in label order, so a selection writes in place without
+/// growing or clearing anything.
+#[derive(Debug, Default)]
+struct Kept {
+    records: Vec<u32>,
+    /// Squared distances while a selection runs, then Eq. 1 weights.
+    weights: Vec<f64>,
+    runs: Vec<Range<usize>>,
+}
+
+impl Kept {
+    /// The kept `(record index, weight)` pairs of one run.
+    fn pairs(&self, run: &Range<usize>) -> impl Iterator<Item = (u32, f64)> + '_ {
+        self.records[run.clone()].iter().copied().zip(self.weights[run.clone()].iter().copied())
+    }
+}
+
+/// Which selection last ran on a [`JudgeScratch`], and so where its
+/// distances are.
+#[derive(Debug, Default, Clone, Copy)]
+enum LastSelection {
+    /// No selection has run yet.
+    #[default]
+    None,
+    /// The full-pass select over `row`.
+    Row,
+    /// The full-pass select over row `j` of `block`.
+    Block(usize),
+    /// The pruned scan: `dist` holds the kept set and `query` the
+    /// embedding.
+    Pruned,
 }
 
 impl JudgeScratch {
@@ -317,6 +362,10 @@ pub struct ScoringKernel {
     norms: Vec<f64>,
     labels: Vec<usize>,
     n_labels: usize,
+    /// The record indices of each label, ascending — derived from
+    /// `labels` and maintained by every edit, so a selection groups its
+    /// kept set by label without a per-query bucketing pass.
+    label_records: Vec<Vec<u32>>,
     /// `cal_scores[e][i]`: expert `e`'s nonconformity of calibration record
     /// `i` at its true label, precomputed offline.
     cal_scores: Vec<Vec<f64>>,
@@ -351,7 +400,11 @@ impl ScoringKernel {
             store.extend_from_slice(e);
         }
         let norms = store.chunks_exact(dim).map(|row| l2_norm_sq(row).sqrt()).collect();
-        Self { store, dim, norms, labels, n_labels, cal_scores, selection }
+        let mut label_records = vec![Vec::new(); n_labels];
+        for (i, &label) in labels.iter().enumerate() {
+            label_records[label].push(i as u32);
+        }
+        Self { store, dim, norms, labels, n_labels, label_records, cal_scores, selection }
     }
 
     /// Number of calibration records.
@@ -416,6 +469,8 @@ impl ScoringKernel {
         }
         self.norms.push(l2_norm_sq(&embedding).sqrt());
         self.store.extend_from_slice(&embedding);
+        // The new index is the largest, so the label's list stays sorted.
+        self.label_records[label].push(self.labels.len() as u32);
         self.labels.push(label);
     }
 
@@ -437,7 +492,16 @@ impl ScoringKernel {
         }
         self.norms[index] = l2_norm_sq(&embedding).sqrt();
         self.store[index * self.dim..(index + 1) * self.dim].copy_from_slice(&embedding);
-        self.labels[index] = label;
+        let old = std::mem::replace(&mut self.labels[index], label);
+        if old != label {
+            let index = index as u32;
+            let from = &mut self.label_records[old];
+            let pos = from.binary_search(&index).expect("record listed under its label");
+            from.remove(pos);
+            let to = &mut self.label_records[label];
+            let pos = to.binary_search(&index).expect_err("record listed under one label only");
+            to.insert(pos, index);
+        }
     }
 
     /// Removes calibration record `index`, shifting every later record down
@@ -463,8 +527,17 @@ impl ScoringKernel {
             table.remove(index);
         }
         self.norms.remove(index);
-        self.labels.remove(index);
+        let label = self.labels.remove(index);
         self.store.drain(index * self.dim..(index + 1) * self.dim);
+        let index = index as u32;
+        let list = &mut self.label_records[label];
+        let pos = list.binary_search(&index).expect("record listed under its label");
+        list.remove(pos);
+        for list in &mut self.label_records {
+            for i in list.iter_mut() {
+                *i -= u32::from(*i > index);
+            }
+        }
     }
 
     /// Borrows expert `expert`'s precomputed nonconformity scores, one per
@@ -481,7 +554,7 @@ impl ScoringKernel {
     /// computes calibration distances (one streaming pass over the
     /// contiguous store, reused buffer), keeps the nearest fraction per
     /// [`SelectionConfig`], weights the kept records by `exp(-d / tau)`,
-    /// and groups them by label for the p-value pass.
+    /// and groups them into per-label runs for the p-value pass.
     ///
     /// Distances are compared as **squared** distances throughout — the
     /// square root is a monotone bijection on `[0, +inf]`, and every
@@ -492,13 +565,14 @@ impl ScoringKernel {
     /// which shares the same distance summation.
     ///
     /// When the whole calibration set is kept (small sets, or
-    /// `fraction = 1`), the distance sort is skipped entirely — p-values
-    /// are counts, so selection order is irrelevant. A selective pass picks
-    /// between an O(n) partition and, when `keep` is small relative to `n`,
-    /// a filtered scan that prunes provably-too-far records via the
-    /// precomputed norms (`|‖e‖ − ‖q‖| > threshold` triangle inequality)
-    /// and partial-distance early exit — both produce the same kept set
-    /// bit-for-bit (`tests/kernel_equivalence.rs`).
+    /// `fraction = 1`), no threshold is selected at all — p-values are
+    /// counts, so selection order is irrelevant. A selective pass picks
+    /// between an O(n) threshold select over the full distance row and,
+    /// when `keep` is small relative to `n`, a filtered scan that prunes
+    /// provably-too-far records via the precomputed norms
+    /// (`|‖e‖ − ‖q‖| > threshold` triangle inequality) and partial-distance
+    /// early exit — both produce the same kept set bit-for-bit
+    /// (`tests/kernel_equivalence.rs`).
     ///
     /// # Panics
     ///
@@ -506,44 +580,21 @@ impl ScoringKernel {
     /// store is uniform by construction).
     pub fn select(&self, test_embedding: &[f64], scratch: &mut JudgeScratch) {
         assert_eq!(self.dim, test_embedding.len(), "embedding length mismatch");
-        let n = self.labels.len();
-        let keep = self.keep_count();
-        // Keep the query: `nearest` may need distances the pruned path
-        // never materialized.
-        scratch.query.clear();
-        scratch.query.extend_from_slice(test_embedding);
-        scratch.dist.clear();
-
         if self.uses_pruned_path() {
-            self.select_pruned(test_embedding, keep, scratch);
-        } else {
-            scratch.dist.extend(self.store.chunks_exact(self.dim).enumerate().map(|(i, e)| {
-                let d2 = l2_distance_sq(e, test_embedding);
-                // A NaN distance (the *test* embedding diverged —
-                // calibration embeddings are validated NaN-free at record
-                // construction) means the pair conforms to nothing: treat
-                // it as infinitely far, so its Eq. 1 weight is exactly 0
-                // and the judgement stays *defined* instead of panicking in
-                // the serving path. Every strictly positive test score then
-                // gets p = 0; a test score of exactly 0 (a maximally
-                // conforming output) still ties as `0 >= 0`, matching the
-                // reference path's tie rule.
-                let d2 = if d2.is_nan() { f64::INFINITY } else { d2 };
-                (d2, i as u32)
-            }));
-            if keep < n {
-                // P-values are counts over the selected *set* — order
-                // within it is irrelevant — so an O(n) partition replaces a
-                // full sort. Ties break by record index so the kept set is
-                // well-defined even with duplicate embeddings at the
-                // boundary.
-                scratch.dist.select_nth_unstable_by(keep - 1, |a, b| {
-                    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
-                });
-            }
+            // Keep the query: `nearest` may need distances the pruned path
+            // never materialized.
+            scratch.query.clear();
+            scratch.query.extend_from_slice(test_embedding);
+            scratch.last = LastSelection::Pruned;
+            self.select_pruned(test_embedding, scratch);
+            return;
         }
-
-        self.finish_selection(keep, scratch);
+        scratch.row.clear();
+        scratch
+            .row
+            .extend(self.store.chunks_exact(self.dim).map(|e| l2_distance_sq(e, test_embedding)));
+        scratch.last = LastSelection::Row;
+        self.select_row(&scratch.row, &mut scratch.keys, &mut scratch.kept);
     }
 
     /// How many records the Eq. 1 selection keeps for the current
@@ -558,11 +609,11 @@ impl ScoringKernel {
     }
 
     /// Whether [`ScoringKernel::select`] takes the norm-pruned filtered
-    /// scan instead of the full-pass partition. The filtered scan wins only
-    /// when few records are kept (its candidate-buffer maintenance is
-    /// overhead the partition does not pay, and a loose threshold prunes
-    /// nothing near `fraction = 0.5`); `keep * 4 <= n` reserves it for
-    /// genuinely selective configurations.
+    /// scan instead of the full-pass threshold select. The filtered scan
+    /// wins only when few records are kept (its candidate-buffer
+    /// maintenance is overhead the full pass does not pay, and a loose
+    /// threshold prunes nothing near `fraction = 0.5`); `keep * 4 <= n`
+    /// reserves it for genuinely selective configurations.
     ///
     /// Public as a capability probe: the blocked batch-judging paths
     /// precompute full distance rows, which would waste exactly the work
@@ -570,26 +621,6 @@ impl ScoringKernel {
     pub fn uses_pruned_path(&self) -> bool {
         let keep = self.keep_count();
         keep < self.labels.len() && keep * 4 <= self.labels.len()
-    }
-
-    /// Weights the kept prefix of `scratch.dist` and groups it by label —
-    /// the shared tail of every selection path. `sqrt` happens here, once
-    /// per *kept* record, exactly where the Eq. 1 weight needs it.
-    fn finish_selection(&self, keep: usize, scratch: &mut JudgeScratch) {
-        scratch.selected.clear();
-        scratch.selected.extend(
-            scratch.dist[..keep]
-                .iter()
-                .map(|&(d2, i)| (i, (-d2.sqrt() / self.selection.tau).exp())),
-        );
-
-        scratch.by_label.resize_with(self.n_labels, Vec::new);
-        for bucket in &mut scratch.by_label {
-            bucket.clear();
-        }
-        for (pos, &(record, _)) in scratch.selected.iter().enumerate() {
-            scratch.by_label[self.labels[record as usize]].push(pos as u32);
-        }
     }
 
     /// Fills `scratch` with the squared-distance block for a batch of
@@ -618,9 +649,8 @@ impl ScoringKernel {
     /// Runs the Eq. 1 selection for query `j` of the block last passed to
     /// [`ScoringKernel::distance_block`], **bit-identical** to
     /// [`ScoringKernel::select`] on the same embedding: the blocked pass
-    /// computes each pair through the same summation kernel, and the
-    /// NaN mapping, partition, tie rule, and weighting here mirror the
-    /// partition path line for line.
+    /// computes each pair through the same summation kernel, and both
+    /// entry points hand their distance row to the same selection routine.
     ///
     /// # Panics
     ///
@@ -629,22 +659,91 @@ impl ScoringKernel {
     pub fn select_from_block(&self, j: usize, test_embedding: &[f64], scratch: &mut JudgeScratch) {
         assert_eq!(self.dim, test_embedding.len(), "embedding length mismatch");
         let n = self.labels.len();
-        let keep = self.keep_count();
-        scratch.query.clear();
-        scratch.query.extend_from_slice(test_embedding);
-        scratch.dist.clear();
         let row = &scratch.block[j * n..(j + 1) * n];
-        scratch.dist.extend(row.iter().enumerate().map(|(i, &d2)| {
-            // Same NaN-is-infinitely-far rule as `select`.
-            let d2 = if d2.is_nan() { f64::INFINITY } else { d2 };
-            (d2, i as u32)
-        }));
-        if keep < n {
-            scratch
-                .dist
-                .select_nth_unstable_by(keep - 1, |a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        scratch.last = LastSelection::Block(j);
+        self.select_row(row, &mut scratch.keys, &mut scratch.kept);
+    }
+
+    /// The full-pass selection over one squared-distance row (one entry
+    /// per record): finds the threshold of the `keep` smallest
+    /// `(d², index)` pairs, writes each label's kept records into `kept`
+    /// and weights them.
+    ///
+    /// Exactness: `selection_key` maps `d²` to its bit pattern (NaN to
+    /// `+inf`'s), whose integer order equals `total_cmp` order on the
+    /// non-negative values a sum of squares produces. Selecting the
+    /// `keep`-th smallest key `T` splits the records into `key < T`
+    /// (all kept), `key > T` (all dropped) and the ties `key == T`. When
+    /// no tie lies past the selected position, every tie fits and the kept
+    /// set is `key <= T`; otherwise the first `quota` ties in index order
+    /// are kept — exactly the `(d², index)` rule of the reference.
+    fn select_row(&self, row: &[f64], keys: &mut Vec<u64>, kept: &mut Kept) {
+        let keep = self.keep_count();
+        // Kept iff `(key, index) <= (threshold, cut)`; the defaults keep
+        // every record.
+        let (mut threshold, mut cut) = (u64::MAX, u32::MAX);
+        if keep < row.len() {
+            keys.clear();
+            keys.extend(row.iter().map(|&d2| selection_key(d2)));
+            let (below, &mut t, above) = keys.select_nth_unstable(keep - 1);
+            threshold = t;
+            if above.contains(&t) {
+                // Ties straddle the boundary: keep the first `quota` in
+                // index order.
+                let quota = keep - below.iter().filter(|&&k| k < t).count();
+                let (i, _) = row
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &d2)| selection_key(d2) == t)
+                    .nth(quota - 1)
+                    .expect("the threshold key occurs at least `quota` times");
+                cut = i as u32;
+            }
         }
-        self.finish_selection(keep, scratch);
+        self.reset_kept(kept);
+        for (records, run) in self.label_records.iter().zip(&mut kept.runs) {
+            let region = run.start..run.start + records.len();
+            let (out_records, out_weights) =
+                (&mut kept.records[region.clone()], &mut kept.weights[region]);
+            // Branchless compaction: write every candidate, advance past
+            // the kept ones only.
+            let mut len = 0;
+            for &i in records {
+                let key = selection_key(row[i as usize]);
+                out_records[len] = i;
+                out_weights[len] = f64::from_bits(key);
+                len += usize::from((key < threshold) | ((key == threshold) & (i <= cut)));
+            }
+            run.end = run.start + len;
+        }
+        self.weigh(kept);
+    }
+
+    /// Empties `kept` to one run per label, each at the start of a region
+    /// with room for every record of its label.
+    fn reset_kept(&self, kept: &mut Kept) {
+        let n = self.labels.len();
+        kept.records.resize(n, 0);
+        kept.weights.resize(n, 0.0);
+        kept.runs.clear();
+        let mut start = 0;
+        kept.runs.extend(self.label_records.iter().map(|records| {
+            let run = start..start;
+            start += records.len();
+            run
+        }));
+    }
+
+    /// Replaces every kept squared distance in `kept` by its Eq. 1 weight
+    /// — the shared tail of both selection paths. `sqrt` happens here,
+    /// once per *kept* record, in the reference's exact expression.
+    fn weigh(&self, kept: &mut Kept) {
+        let tau = self.selection.tau;
+        for run in &kept.runs {
+            for w in &mut kept.weights[run.clone()] {
+                *w = (-w.sqrt() / tau).exp();
+            }
+        }
     }
 
     /// The pruned selective pass: a filtered scan over the store that keeps
@@ -656,8 +755,8 @@ impl ScoringKernel {
     /// truncated back to `keep` entries (tightening `est`) every time it
     /// doubles, so maintenance stays O(1) amortized per accepted candidate
     /// with none of the pointer-chasing churn of a binary heap. Leaves
-    /// exactly the kept set in `scratch.dist` (partition order — callers
-    /// treat it as a set).
+    /// exactly the kept set in `scratch.dist` (partition order) and groups
+    /// it into the per-label runs.
     ///
     /// Exactness argument, in three parts. (1) *`est` never undershoots*:
     /// `est` is always the `keep`-th smallest `(d², index)` over some
@@ -667,7 +766,7 @@ impl ScoringKernel {
     /// step; skips prove `d² > est >= t²` (strictly, so boundary ties are
     /// never skipped), truncations drop only entries lexicographically
     /// beyond `est`'s pair, and therefore every true member survives to the
-    /// final partition, which equals the full-pass partition bit for bit.
+    /// final partition, which equals the full-pass selection bit for bit.
     /// (2) *Norm bound*: exact math gives `d(e, q) >= |‖e‖ − ‖q‖|`; the
     /// computed norms and the subtraction carry rounding error, so the
     /// bound is deflated by a conservative slack (a few ulps of
@@ -679,12 +778,14 @@ impl ScoringKernel {
     /// [`l2_distance_sq_bounded`]'s contract; the bound passed is `est`'s
     /// upward neighbour, so an exit proves `d² > est` even at exact ties,
     /// and survivors carry bit-identical sums.
-    fn select_pruned(&self, test_embedding: &[f64], keep: usize, scratch: &mut JudgeScratch) {
+    fn select_pruned(&self, test_embedding: &[f64], scratch: &mut JudgeScratch) {
+        let keep = self.keep_count();
         let q_norm = l2_norm_sq(test_embedding).sqrt();
         let norm_slack = 4.0 * self.dim as f64 * f64::EPSILON;
         let square_slack = 1.0 - 32.0 * self.dim as f64 * f64::EPSILON;
         let lex = |a: &(f64, u32), b: &(f64, u32)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
         let cand = &mut scratch.dist;
+        cand.clear();
         let cap = 2 * keep;
         let mut est = f64::INFINITY;
         for (i, e) in self.store.chunks_exact(self.dim).enumerate() {
@@ -703,7 +804,7 @@ impl ScoringKernel {
                 // kernel could then exit on records the tie rule keeps.
                 l2_distance_sq(e, test_embedding)
             };
-            let d2 = if d2.is_nan() { f64::INFINITY } else { d2 };
+            let d2 = f64::from_bits(selection_key(d2));
             if d2 > est {
                 continue;
             }
@@ -718,48 +819,61 @@ impl ScoringKernel {
             cand.select_nth_unstable_by(keep - 1, lex);
             cand.truncate(keep);
         }
+
+        let kept = &mut scratch.kept;
+        self.reset_kept(kept);
+        for &(d2, i) in cand.iter() {
+            let run = &mut kept.runs[self.labels[i as usize]];
+            kept.records[run.end] = i;
+            kept.weights[run.end] = d2;
+            run.end += 1;
+        }
+        self.weigh(kept);
     }
 
     /// The `k` nearest calibration records to the embedding last passed to
-    /// [`ScoringKernel::select`], nearest first (the k-NN ground-truth
-    /// proxy reuses the selection's distance pass instead of recomputing
-    /// it).
+    /// [`ScoringKernel::select`] or [`ScoringKernel::select_from_block`],
+    /// nearest first (the k-NN ground-truth proxy reuses the selection's
+    /// distance pass instead of recomputing it).
     ///
     /// # Panics
     ///
-    /// Panics if `k == 0` or [`ScoringKernel::select`] has not run.
+    /// Panics if `k == 0` or no selection has run.
     pub fn nearest(&self, scratch: &JudgeScratch, k: usize, out: &mut Vec<usize>) {
         assert!(k > 0, "nearest needs k >= 1");
-        assert!(!scratch.dist.is_empty(), "select() must run before nearest()");
         let n = self.labels.len();
         let k = k.min(n);
-        let kept = scratch.selected.len();
-        if k <= kept {
-            // The kept subset holds the `keep` globally-nearest records
-            // (every select path guarantees it), so its k smallest are the
-            // global k smallest. On the partition path `dist` may hold all
-            // n records with the kept ones in the prefix; on the pruned
-            // path it holds exactly the kept set.
-            k_smallest_into(scratch.dist[..kept].iter().copied(), k, out);
-        } else if scratch.dist.len() == n {
-            // k exceeds the kept subset but the partition path left every
-            // record's distance in the buffer.
-            k_smallest_into(scratch.dist.iter().copied(), k, out);
-        } else {
-            // Pruned path with k > keep (knn_k beyond the selection size —
-            // degenerate configurations only): the skipped distances were
-            // never materialized, so recompute the full pass against the
-            // stashed query. Same kernel, same NaN rule — bit-identical to
-            // what the partition path's buffer would have held.
-            k_smallest_into(
-                self.store.chunks_exact(self.dim).enumerate().map(|(i, e)| {
-                    let d2 = l2_distance_sq(e, &scratch.query);
-                    (if d2.is_nan() { f64::INFINITY } else { d2 }, i as u32)
-                }),
-                k,
-                out,
-            );
-        }
+        let row = match scratch.last {
+            LastSelection::None => panic!("select() must run before nearest()"),
+            LastSelection::Row => &scratch.row[..],
+            LastSelection::Block(j) => &scratch.block[j * n..(j + 1) * n],
+            LastSelection::Pruned if k <= scratch.dist.len() => {
+                // The kept subset holds the `keep` globally-nearest
+                // records, so its k smallest are the global k smallest.
+                k_smallest_into(scratch.dist.iter().copied(), k, out);
+                return;
+            }
+            LastSelection::Pruned => {
+                // k > keep (knn_k beyond the selection size — degenerate
+                // configurations only): the skipped distances were never
+                // materialized, so recompute the full pass against the
+                // stashed query. Same kernel, same NaN rule — bit-identical
+                // to the row the full pass would have read.
+                k_smallest_into(
+                    self.store.chunks_exact(self.dim).enumerate().map(|(i, e)| {
+                        (f64::from_bits(selection_key(l2_distance_sq(e, &scratch.query))), i as u32)
+                    }),
+                    k,
+                    out,
+                );
+                return;
+            }
+        };
+        k_smallest_into(
+            row.iter().enumerate().map(|(i, &d2)| (f64::from_bits(selection_key(d2)), i as u32)),
+            k,
+            out,
+        );
     }
 
     /// Eq. 2 p-values for expert `expert` over the selection in `scratch`,
@@ -769,7 +883,9 @@ impl ScoringKernel {
     /// For each label `y`, the p-value is the fraction of *selected*
     /// label-`y` calibration records whose weight-adjusted score
     /// `w_i * a_i` is `>= test_scores[y]`; labels absent from the selection
-    /// get 0. One scan over the selection per expert, not per label.
+    /// get 0. Each label's kept records are one contiguous run of
+    /// `(index, weight)` pairs, so the whole pass is one scan of the
+    /// selection per expert.
     ///
     /// # Panics
     ///
@@ -779,21 +895,36 @@ impl ScoringKernel {
         let scores = &self.cal_scores[expert];
         assert_eq!(scratch.test_scores.len(), self.n_labels, "test-score length mismatch");
         scratch.p_values.clear();
-        for (label, bucket) in scratch.by_label.iter().enumerate() {
-            if bucket.is_empty() {
+        let kept = &scratch.kept;
+        for (run, &test) in kept.runs.iter().zip(&scratch.test_scores) {
+            if run.is_empty() {
                 scratch.p_values.push(0.0);
                 continue;
             }
-            let test = scratch.test_scores[label];
-            let at_least = bucket
-                .iter()
-                .filter(|&&pos| {
-                    let (record, weight) = scratch.selected[pos as usize];
-                    weight * scores[record as usize] >= test
-                })
-                .count();
-            scratch.p_values.push(at_least as f64 / bucket.len() as f64);
+            let at_least = kept.pairs(run).filter(|&(i, w)| w * scores[i as usize] >= test).count();
+            scratch.p_values.push(at_least as f64 / run.len() as f64);
         }
+    }
+}
+
+/// The selection key of a squared distance: its bit pattern, with NaN
+/// (a diverged *test* embedding — calibration embeddings are validated
+/// NaN-free at record construction) mapped to `+inf`'s, so the pair
+/// conforms to nothing: its Eq. 1 weight is exactly 0 and the judgement
+/// stays *defined* instead of panicking in the serving path. Every
+/// strictly positive test score then gets p = 0; a test score of exactly
+/// 0 (a maximally conforming output) still ties as `0 >= 0`, matching
+/// the reference path's tie rule.
+///
+/// A sum of squares starting at `+0.0` is never negative or `-0.0`, and
+/// on `[+0, +inf]` the bit order is `total_cmp` order, so keys compare
+/// exactly as the reference's `(d², index)` sort does.
+fn selection_key(d2: f64) -> u64 {
+    debug_assert!(d2.is_nan() || d2.is_sign_positive(), "negative squared distance {d2}");
+    if d2.is_nan() {
+        f64::INFINITY.to_bits()
+    } else {
+        d2.to_bits()
     }
 }
 
@@ -830,6 +961,28 @@ fn next_up(x: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::pvalue::{p_value_for_label, ScoredSample};
+
+    impl JudgeScratch {
+        /// Each label's kept `(record, weight bits)` run, in array order.
+        fn kept_by_label(&self) -> Vec<Vec<(u32, u64)>> {
+            let kept = &self.kept;
+            kept.runs
+                .iter()
+                .map(|run| kept.pairs(run).map(|(i, w)| (i, w.to_bits())).collect())
+                .collect()
+        }
+
+        /// Every kept `(record, weight bits)` pair, sorted by record.
+        fn kept_sorted(&self) -> Vec<(u32, u64)> {
+            let mut all: Vec<(u32, u64)> = self.kept_by_label().into_iter().flatten().collect();
+            all.sort_unstable();
+            all
+        }
+
+        fn kept_count(&self) -> usize {
+            self.kept.runs.iter().map(Range::len).sum()
+        }
+    }
 
     #[test]
     fn score_table_matches_linear_scan() {
@@ -1028,7 +1181,7 @@ mod tests {
         let mut scratch = JudgeScratch::new();
         for probe in [0.0, 40.0, 150.0] {
             kernel.select(&[probe], &mut scratch);
-            assert_eq!(scratch.selected.len(), 150);
+            assert_eq!(scratch.kept_count(), 150);
             for expert in 0..kernel.n_experts() {
                 scratch.test_scores.clear();
                 scratch.test_scores.extend_from_slice(&[0.1, 0.4, 0.9]);
@@ -1109,6 +1262,26 @@ mod tests {
     }
 
     #[test]
+    fn label_records_track_insert_replace_and_remove() {
+        let mut edited = kernel_fixture(30, 10);
+        edited.insert(vec![3.25], 1, &[0.4, 0.6]);
+        edited.replace(4, vec![8.0], 2, &[0.1, 0.2]); // label 1 -> 2
+        edited.replace(9, vec![1.0], 0, &[0.3, 0.3]); // label 0 -> 0
+        edited.remove(12);
+        edited.remove(0);
+        let rows: Vec<Vec<f64>> =
+            (0..edited.n_records()).map(|i| edited.embedding(i).to_vec()).collect();
+        let rebuilt = ScoringKernel::new(
+            rows,
+            edited.labels().to_vec(),
+            3,
+            edited.cal_scores.clone(),
+            edited.selection.clone(),
+        );
+        assert_eq!(edited.label_records, rebuilt.label_records);
+    }
+
+    #[test]
     #[should_panic(expected = "cannot remove the last")]
     fn removing_the_last_record_panics() {
         let mut kernel = ScoringKernel::new(
@@ -1151,7 +1324,7 @@ mod tests {
             for probe_base in [0.0, 11.7, 60.0, 1.0e7] {
                 let probe: Vec<f64> = (0..dim).map(|j| probe_base + j as f64 * 0.01).collect();
                 kernel.select(&probe, &mut scratch);
-                assert_eq!(scratch.selected.len(), 12, "pruned path must keep exactly `keep`");
+                assert_eq!(scratch.kept_count(), 12, "pruned path must keep exactly `keep`");
                 scratch.test_scores.clear();
                 scratch.test_scores.extend_from_slice(&[0.2, 0.5, 0.8]);
                 kernel.p_values_into(0, &mut scratch);
@@ -1180,31 +1353,39 @@ mod tests {
             let mut blocked = JudgeScratch::new();
             kernel.distance_block(&refs, &mut blocked);
             let mut single = JudgeScratch::new();
+            let (mut from_block, mut from_single) = (Vec::new(), Vec::new());
             for (j, query) in queries.iter().enumerate() {
                 kernel.select_from_block(j, query, &mut blocked);
                 kernel.select(query, &mut single);
-                let got: Vec<(u32, u64)> =
-                    blocked.selected.iter().map(|&(i, w)| (i, w.to_bits())).collect();
-                let want: Vec<(u32, u64)> =
-                    single.selected.iter().map(|&(i, w)| (i, w.to_bits())).collect();
-                assert_eq!(got, want, "fraction {fraction}, query {j}");
-                assert_eq!(blocked.by_label, single.by_label, "fraction {fraction}, query {j}");
+                assert_eq!(
+                    blocked.kept_by_label(),
+                    single.kept_by_label(),
+                    "fraction {fraction}, query {j}"
+                );
+                kernel.nearest(&blocked, 5, &mut from_block);
+                kernel.nearest(&single, 5, &mut from_single);
+                assert_eq!(from_block, from_single, "fraction {fraction}, query {j}");
             }
         }
     }
 
     #[test]
     fn pruned_and_partition_paths_keep_the_same_set() {
-        // Same records, two configs straddling the `keep * 4 <= n`
-        // threshold at the same keep count: fraction 0.1 of 120 (pruned)
-        // vs the same 12 records under a kernel sliced to engage the
-        // partition (compare selected sets + weights via p-value bits and
-        // the selected-index sets directly).
+        // One kernel on the pruned path (fraction 0.1 of 120, keep 12):
+        // its kept set and weight bits must equal the full-pass threshold
+        // select run over the same query's full distance row at the same
+        // keep, and the kept indices must equal the scalar reference's.
         let pruned = pruned_fixture(120, 3, 0.1);
+        assert!(pruned.uses_pruned_path());
+        let query = [7.0, 7.01, 7.02];
         let mut sp = JudgeScratch::new();
-        pruned.select(&[7.0, 7.01, 7.02], &mut sp);
-        let mut from_pruned: Vec<u32> = sp.selected.iter().map(|&(i, _)| i).collect();
-        from_pruned.sort_unstable();
+        pruned.select(&query, &mut sp);
+        let mut sr = JudgeScratch::new();
+        let row: Vec<f64> =
+            (0..pruned.n_records()).map(|i| l2_distance_sq(pruned.embedding(i), &query)).collect();
+        pruned.select_row(&row, &mut sr.keys, &mut sr.kept);
+        assert_eq!(sp.kept_sorted(), sr.kept_sorted(), "pruned and partition kept sets diverge");
+        let from_pruned: Vec<u32> = sp.kept_sorted().iter().map(|&(i, _)| i).collect();
         // Reference kept set via the scalar path.
         let rows: Vec<Vec<f64>> =
             (0..pruned.n_records()).map(|i| pruned.embedding(i).to_vec()).collect();
@@ -1219,12 +1400,18 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "select() must run before nearest()")]
+    fn nearest_without_a_selection_panics() {
+        kernel_fixture(10, 1).nearest(&JudgeScratch::new(), 3, &mut Vec::new());
+    }
+
+    #[test]
     fn nearest_recomputes_when_k_exceeds_pruned_keep() {
         let kernel = pruned_fixture(120, 2, 0.05); // keep = 6
         let mut scratch = JudgeScratch::new();
         let mut out = Vec::new();
         kernel.select(&[30.0, 30.01], &mut scratch);
-        assert_eq!(scratch.selected.len(), 6);
+        assert_eq!(scratch.kept_count(), 6);
         assert_eq!(scratch.dist.len(), 6, "pruned path materializes only the kept set");
         // k = 10 > keep = 6: the fallback must recompute and agree with the
         // flat k-NN helper over the full store.
@@ -1253,7 +1440,7 @@ mod tests {
         let mut scratch = JudgeScratch::new();
         kernel.select(&[500.0, 500.0], &mut scratch);
         assert!(
-            scratch.selected.iter().any(|&(i, _)| i == 7),
+            scratch.kept_sorted().iter().any(|&(i, _)| i == 7),
             "the relocated record is now nearest and must be kept"
         );
         let reference = reference_p_values(&kernel, 0, &[500.0, 500.0], &[0.2, 0.5, 0.8]);
@@ -1312,7 +1499,8 @@ mod tests {
             let kernel = kernel_fixture(10, min_full);
             let mut scratch = JudgeScratch::new();
             kernel.select(&[f64::NAN], &mut scratch);
-            assert!(scratch.selected.iter().all(|&(_, w)| w == 0.0), "min_full {min_full}");
+            assert_eq!(scratch.kept_count(), kernel.keep_count(), "min_full {min_full}");
+            assert!(scratch.kept_sorted().iter().all(|&(_, w)| w == 0), "min_full {min_full}");
             scratch.test_scores.clear();
             scratch.test_scores.extend_from_slice(&[0.2, 0.5, 0.8]);
             kernel.p_values_into(0, &mut scratch);

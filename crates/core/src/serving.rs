@@ -16,8 +16,10 @@
 //!   [`ServingHandle::try_submit`] fails fast with the sample back —
 //!   load shedding, counted per front-end in
 //!   [`ServingOutcome::rejected`].
-//! * **One collator thread** drains the queue in arrival order and runs
-//!   the pipeline exactly as a synchronous caller would: windows form
+//! * **One collator thread** drains the queue in arrival order — up to
+//!   one window per lock, waking blocked producers once per drain, and
+//!   no one at all when nobody is blocked — and runs the pipeline
+//!   exactly as a synchronous caller would: windows form
 //!   serving-side, in admission order. Everything downstream — shard
 //!   fan-out, relabel selection, online calibration folding — is the
 //!   ordinary pipeline machinery.
@@ -230,7 +232,8 @@ struct ServingInstruments {
     /// `prom_serving_shed_total`.
     shed: Arc<Counter>,
     /// `prom_serving_queue_depth` — incremented at admission, decremented
-    /// when the collator dequeues; racy by nature (a metric).
+    /// by the drained count when the collator dequeues; racy by nature
+    /// (a metric).
     queue_depth: Arc<Gauge>,
     /// `prom_serving_judgement_latency_ns` — the same quantity as
     /// [`ServingOutcome::latency`], live.
@@ -492,13 +495,14 @@ impl ServingFrontEnd {
         let admitted = AtomicU64::new(0);
         let rejected = AtomicU64::new(0);
         let record_admitted = self.config.record_admitted;
+        let window = self.config.pipeline.window.max(1);
         let instruments = self.config.metrics.as_ref().map(ServingInstruments::resolve);
         let begin = Instant::now();
         let (produced, collated) = std::thread::scope(|s| {
             let live = instruments.as_ref();
             let collator = std::thread::Builder::new()
                 .name("prom-collator".into())
-                .spawn_scoped(s, move || collate(engine, &queue_rx, record_admitted, live))
+                .spawn_scoped(s, move || collate(engine, &queue_rx, window, record_admitted, live))
                 .expect("spawn collator thread");
             let handle = ServingHandle {
                 queue: queue_tx,
@@ -545,10 +549,13 @@ struct Collated<R> {
 
 /// The collator loop: drain the admission queue in arrival order into
 /// the pipeline, settle each report's latencies, flush the tail on
-/// disconnect.
+/// disconnect. Each drain moves at most one `window` of queued samples
+/// under one lock and wakes blocked producers once, instead of taking
+/// the lock and signalling per sample.
 fn collate<E: Engine>(
     mut engine: E,
     queue: &Receiver<Submission>,
+    window: usize,
     record_admitted: bool,
     instruments: Option<&ServingInstruments>,
 ) -> Collated<E::Report> {
@@ -576,23 +583,27 @@ fn collate<E: Engine>(
         }
         *judged += settled;
     };
-    while let Ok(Submission { sample, at }) = queue.recv() {
+    let mut drained: VecDeque<Submission> = VecDeque::with_capacity(window);
+    while let Ok(moved) = queue.recv_batch(&mut drained, window) {
         if let Some(live) = instruments {
-            live.queue_depth.dec();
+            // The drained samples have left the admission queue.
+            live.queue_depth.add(-(moved as i64));
         }
-        if record_admitted {
-            admitted_samples.push(sample.clone());
-        }
-        unsettled.push_back(at);
-        // Stamp the pipeline call only when instrumented: the
-        // report-producing push is the window-judge latency.
-        let pushed_at = instruments.map(|_| Instant::now());
-        if let Some(report) = engine.push(sample) {
-            if let (Some(live), Some(at)) = (instruments, pushed_at) {
-                live.window_judge.record(at.elapsed());
+        for Submission { sample, at } in drained.drain(..) {
+            if record_admitted {
+                admitted_samples.push(sample.clone());
             }
-            settle(&report, &mut unsettled, &mut latency, &mut judged);
-            reports.push(report);
+            unsettled.push_back(at);
+            // Stamp the pipeline call only when instrumented: the
+            // report-producing push is the window-judge latency.
+            let pushed_at = instruments.map(|_| Instant::now());
+            if let Some(report) = engine.push(sample) {
+                if let (Some(live), Some(at)) = (instruments, pushed_at) {
+                    live.window_judge.record(at.elapsed());
+                }
+                settle(&report, &mut unsettled, &mut latency, &mut judged);
+                reports.push(report);
+            }
         }
     }
     // Every producer handle is gone: judge the partial tail.

@@ -30,6 +30,11 @@
 //!   `judge`, `judge_batch`, the fused fan-out and `expert_p_values` (all
 //!   fed by the shared rank/mass test-score pass) equal the per-label
 //!   reference;
+//! * **threshold ties straddling `keep` stay exact**: with many records
+//!   at exactly the threshold distance across several labels, the
+//!   blocked and single-query selections equal the reference, and after
+//!   a label-changing `replace` and a mid-store `remove` the edited
+//!   kernel judges bit-identically to a freshly built one;
 //! * **(proptest)** duplicate-heavy integer-grid embeddings — maximal tie
 //!   mass at the keep boundary — and NaN probes never separate the
 //!   optimized paths from the reference.
@@ -46,7 +51,7 @@ use prom::core::pipeline::{MultiPipeline, PipelineConfig};
 use prom::core::predictor::PromClassifier;
 use prom::core::pvalue::{p_values, ScoredSample};
 use prom::core::regression::{ClusterChoice, PromRegressor, PromRegressorConfig, RegressionRecord};
-use prom::core::scoring::JudgeScratch;
+use prom::core::scoring::{JudgeScratch, ScoringKernel};
 use prom::ml::knn::{k_nearest, k_nearest_flat};
 use prom::ml::matrix::{argmax, l2_distance_sq};
 
@@ -480,6 +485,156 @@ fn many_class_judgements_match_the_per_label_reference() {
         let fanout = prom.judge_batch_fanout_scratch(&samples, &fanned, &mut scratch);
         for (c, judged) in fanned.iter().zip(&fanout) {
             assert_eq!(judged, &expected(c), "path={path} epsilon={}: fan-out", c.epsilon);
+        }
+    }
+}
+
+/// A calibration set built around the origin so that the 50% keep
+/// boundary lands inside a large tie class: 12 records at squared
+/// distance 1, 24 at exactly 4 (only 12 of them fit) and 12 at 9, all
+/// dim 2 and exactly representable, labels cycling over four classes so
+/// every label holds records on both sides of the cut.
+fn straddling_ties() -> (Vec<Vec<f64>>, Vec<usize>, Vec<Vec<f64>>) {
+    let ring = |r: f64, i: usize| -> Vec<f64> {
+        match i % 4 {
+            0 => vec![r, 0.0],
+            1 => vec![0.0, r],
+            2 => vec![-r, 0.0],
+            _ => vec![0.0, -r],
+        }
+    };
+    let mut embeddings = Vec::new();
+    // Interleave the rings so the tie class is spread over the index
+    // range rather than one contiguous run.
+    for i in 0..48 {
+        let r = match i % 4 {
+            0 => 1.0,
+            1 | 3 => 2.0,
+            _ => 3.0,
+        };
+        embeddings.push(ring(r, i / 4));
+    }
+    let labels: Vec<usize> = (0..48).map(|i| (i * 7 / 3) % 4).collect();
+    let scores: Vec<Vec<f64>> = (0..2)
+        .map(|e| (0..48).map(|i| 0.05 + ((i * (5 + e) % 17) as f64 / 17.0)).collect())
+        .collect();
+    (embeddings, labels, scores)
+}
+
+/// Reference p-values of one expert: full-sort selection feeding the
+/// shared p-value arithmetic.
+fn reference_kernel_p_values(
+    embeddings: &[Vec<f64>],
+    labels: &[usize],
+    scores: &[f64],
+    selection: &SelectionConfig,
+    query: &[f64],
+    test_scores: &[f64],
+) -> Vec<f64> {
+    let samples: Vec<ScoredSample> = select_weighted_subset(embeddings, query, selection)
+        .iter()
+        .map(|s| ScoredSample {
+            label: labels[s.index],
+            adjusted_score: s.weight * scores[s.index],
+        })
+        .collect();
+    p_values(&samples, test_scores)
+}
+
+/// Per-label test scores that sit exactly on a kept record's adjusted
+/// score, so a single flipped weight bit changes a count.
+fn boundary_test_scores(
+    embeddings: &[Vec<f64>],
+    labels: &[usize],
+    scores: &[f64],
+    selection: &SelectionConfig,
+    query: &[f64],
+) -> Vec<f64> {
+    let mut out = vec![0.5; 4];
+    for s in select_weighted_subset(embeddings, query, selection) {
+        out[labels[s.index]] = s.weight * scores[s.index];
+    }
+    out
+}
+
+#[test]
+fn straddling_threshold_ties_match_the_reference_through_edits() {
+    let (mut embeddings, mut labels, mut scores) = straddling_ties();
+    let selection = SelectionConfig { fraction: 0.5, min_full_size: 1, tau: 3.0 };
+    let mut kernel = ScoringKernel::new(
+        embeddings.clone(),
+        labels.clone(),
+        4,
+        scores.clone(),
+        selection.clone(),
+    );
+    assert!(!kernel.uses_pruned_path(), "keep 24 of 48 runs the full-pass select");
+    let queries: Vec<Vec<f64>> =
+        vec![vec![0.0, 0.0], vec![f64::NAN, 0.0], vec![1.0, 0.0], vec![0.5, -0.5]];
+
+    for stage in ["built", "edited"] {
+        if stage == "edited" {
+            // A tie record changes label (and moves to the near ring),
+            // then a record from the middle of the store goes.
+            let new_embedding = vec![0.0, -1.0];
+            let new_scores = [0.71, 0.33];
+            let old_label = labels[5];
+            let new_label = (old_label + 1) % 4;
+            kernel.replace(5, new_embedding.clone(), new_label, &new_scores);
+            embeddings[5] = new_embedding;
+            labels[5] = new_label;
+            for (table, &score) in scores.iter_mut().zip(&new_scores) {
+                table[5] = score;
+            }
+            kernel.remove(21);
+            embeddings.remove(21);
+            labels.remove(21);
+            for table in &mut scores {
+                table.remove(21);
+            }
+        }
+        let fresh = ScoringKernel::new(
+            embeddings.clone(),
+            labels.clone(),
+            4,
+            scores.clone(),
+            selection.clone(),
+        );
+        let refs: Vec<&[f64]> = queries.iter().map(Vec::as_slice).collect();
+        let mut blocked = JudgeScratch::new();
+        kernel.distance_block(&refs, &mut blocked);
+        let mut single = JudgeScratch::new();
+        let mut rebuilt = JudgeScratch::new();
+        for (j, query) in queries.iter().enumerate() {
+            kernel.select_from_block(j, query, &mut blocked);
+            kernel.select(query, &mut single);
+            fresh.select(query, &mut rebuilt);
+            for (e, expert_scores) in scores.iter().enumerate() {
+                let test_scores = if query[0].is_nan() {
+                    vec![0.0, 0.2, 0.0, 0.9]
+                } else {
+                    boundary_test_scores(&embeddings, &labels, expert_scores, &selection, query)
+                };
+                let reference = reference_kernel_p_values(
+                    &embeddings,
+                    &labels,
+                    expert_scores,
+                    &selection,
+                    query,
+                    &test_scores,
+                );
+                for (path, scratch, kernel) in [
+                    ("blocked", &mut blocked, &kernel),
+                    ("single", &mut single, &kernel),
+                    ("rebuilt", &mut rebuilt, &fresh),
+                ] {
+                    scratch.test_scores.clone_from(&test_scores);
+                    kernel.p_values_into(e, scratch);
+                    let got: Vec<u64> = scratch.p_values.iter().map(|p| p.to_bits()).collect();
+                    let want: Vec<u64> = reference.iter().map(|p| p.to_bits()).collect();
+                    assert_eq!(got, want, "{stage} {path}: query {j}, expert {e}");
+                }
+            }
         }
     }
 }
